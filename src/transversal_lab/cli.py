@@ -13,7 +13,6 @@ Exit codes: 0 success (including "none" answers), 2 argument errors,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -44,7 +43,7 @@ from .ortho import (
     alpha_lower_search,
     directions_of_height,
 )
-from .ramsey import RamseyTable, check_counterexample, dr_bounds, search_dr
+from .ramsey import RamseyTable, dr_bounds, search_dr
 from .transversal import find_transversal
 
 EXIT_OK = 0
@@ -68,11 +67,6 @@ def _report(command: str, params: dict, result: dict, started: float, nodes: Opt
 
 def _emit(report: dict) -> None:
     print(json.dumps(report, sort_keys=True))
-
-
-def _params_key(command: str, params: dict) -> str:
-    blob = json.dumps({"command": command, "params": params}, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _read_text(path: str) -> str:
@@ -120,42 +114,21 @@ def _cmd_dr_compute(args) -> int:
         "max_order": args.max_order,
         "budget_nodes": args.budget_nodes,
         "budget_secs": args.budget_secs,
-        "threads": args.threads,
         "probe": not args.no_probe,
     }
-    cache_dir = resolve_cache_dir(args.cache_dir)
-    report_path = cache_dir / "reports" / (_params_key("dr compute", params) + ".json")
-    if report_path.exists():
-        cached = json.loads(report_path.read_text())
-        cert_line = cached["result"].get("certificate")
-        if cert_line is not None:
-            try:
-                check_counterexample(decode_digraph6(cert_line), args.n, args.m)
-            except (TransversalLabError, ValueError) as exc:
-                raise VerificationError(
-                    f"cached certificate failed re-verification: {exc}"
-                ) from exc
-        _emit(
-            _report(
-                "dr compute", params, cached["result"], started, nodes=cached.get("nodes")
-            )
-        )
-        return EXIT_OK
-
     result = search_dr(
         args.n,
         args.m,
         max_order=args.max_order,
         node_budget=args.budget_nodes,
         time_budget=args.budget_secs,
-        threads=args.threads,
         probe=not args.no_probe,
     )
     cert_line = None
     if result.certificate is not None:
         if not result.certificate.reverify():
             raise VerificationError("certificate failed re-verification before emission")
-        CertificateCache(cache_dir).store(result.certificate)
+        CertificateCache(resolve_cache_dir(args.cache_dir)).store(result.certificate)
         cert_line = encode_digraph6(result.certificate.digraph)
     payload = {
         "lower": result.lower,
@@ -168,12 +141,6 @@ def _cmd_dr_compute(args) -> int:
         "budget_hit": result.budget_hit,
         "level_counts": list(result.level_counts),
     }
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(
-        json.dumps(
-            {"params": params, "result": payload, "nodes": result.nodes}, sort_keys=True
-        )
-    )
     _emit(_report("dr compute", params, payload, started, nodes=result.nodes))
     return EXIT_OK
 
@@ -379,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--max-order", type=int, default=None)
     p_compute.add_argument("--budget-nodes", type=int, default=5_000_000)
     p_compute.add_argument("--budget-secs", type=float, default=None)
-    p_compute.add_argument("--threads", type=int, default=1)
     p_compute.add_argument("--cache-dir", default=None)
     p_compute.add_argument("--no-probe", action="store_true")
     p_compute.set_defaults(func=_cmd_dr_compute)

@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded
-from .graphs import BitDigraph, UGraph, bits, has_clique, mask_of
+from .graphs import BitDigraph, UGraph, bits, find_clique_in, has_clique, mask_of
 
 
 @dataclass(frozen=True)
@@ -176,27 +176,6 @@ def shift_graph(n: int, big_n: int, *, vertex_cap: int = 100000) -> UGraph:
 # ---------------------------------------------------------------------------
 
 
-def _is_clique_free(adj: Sequence[int], members: int, k: int) -> bool:
-    """No k-clique inside the vertex mask `members` (adjacency as masks)."""
-    if k <= 1:
-        return members == 0 if k == 1 else True
-
-    def extend(cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            if cand.bit_count() + 1 < need:
-                return False
-            if extend(cand & adj[v], need - 1):
-                return True
-        return False
-
-    return not extend(members, k)
-
-
 def henson_approx(
     n: int,
     rounds: int,
@@ -241,7 +220,7 @@ def henson_approx(
         if rng is not None:
             rng.shuffle(pairs)
         for amask, bmask in pairs:
-            if not _is_clique_free(adj, bmask, n - 1):
+            if find_clique_in(adj, bmask, n - 1) is not None:
                 continue
             exclude = amask | bmask
             satisfied = False
@@ -275,7 +254,7 @@ def extension_property_holds(
                 for aset in combinations(union, asize):
                     amask = mask_of(aset)
                     bmask = mask_of(union) & ~amask
-                    if not _is_clique_free(g.adj, bmask, n - 1):
+                    if find_clique_in(g.adj, bmask, n - 1) is not None:
                         continue
                     exclude = amask | bmask
                     if not any(
@@ -338,7 +317,7 @@ def partition_extension_witness(
         processed += 1
         a_k, b_k = pair
         bmask = mask_of(b_k)
-        if not _is_clique_free(adj, bmask, n - 1):
+        if find_clique_in(adj, bmask, n - 1) is not None:
             continue
         used = set(a_k) | set(b_k)
         w = next((v for v in free_w if v not in used), None)

@@ -221,35 +221,63 @@ class BitDigraph:
 # ---------------------------------------------------------------------------
 
 
-def find_clique(g: UGraph, k: int) -> Optional[tuple[int, ...]]:
-    """Lexicographically least k-clique of g, or None.
+def find_clique_in(
+    nbr: Sequence[int], cand: int, k: int, flip: int = 0
+) -> Optional[tuple[int, ...]]:
+    """Lexicographically least k-subset of the mask `cand` whose members are
+    pairwise joined in `nbr`, or None.
 
-    Depth-first over vertices in ascending order, intersecting candidate
-    sets, so the first complete branch is the lexicographically least
-    witness.
+    Vertices u and v count as joined when bit v of nbr[u] ^ flip is set, so
+    flip=-1 searches the complement (independent sets) without building
+    complement rows.  Depth-first over candidates in ascending order,
+    intersecting each with the chosen vertex's row, so the first complete
+    branch is the lexicographically least witness.  k = 0 gives ().  The
+    last two members are read off the masks without a further call.
     """
+    if k <= 1:
+        if k <= 0:
+            return ()
+        return ((cand & -cand).bit_length() - 1,) if cand else None
+    while cand:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        if cand.bit_count() + 1 < k:
+            return None
+        rest = cand & (nbr[v] ^ flip)
+        if k == 2:
+            if rest:
+                return (v, (rest & -rest).bit_length() - 1)
+        else:
+            found = find_clique_in(nbr, rest, k - 1, flip)
+            if found is not None:
+                return (v,) + found
+    return None
+
+
+def count_cliques_in(nbr: Sequence[int], cand: int, k: int) -> int:
+    """Number of k-subsets of the mask `cand` pairwise joined in `nbr`."""
+    if k <= 1:
+        return 1 if k <= 0 else cand.bit_count()
+    total = 0
+    while cand:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        cand ^= low
+        if cand.bit_count() + 1 < k:
+            break
+        rest = cand & nbr[v]
+        total += rest.bit_count() if k == 2 else count_cliques_in(nbr, rest, k - 1)
+    return total
+
+
+def find_clique(g: UGraph, k: int) -> Optional[tuple[int, ...]]:
+    """Lexicographically least k-clique of g, or None."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > g.order:
         return None
-    adj = g.adj
-    witness: list[int] = []
-
-    def extend(candidates: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if candidates.bit_count() < need:
-            return False
-        for v in bits(candidates):
-            witness.append(v)
-            if extend(candidates & adj[v] & ~((1 << (v + 1)) - 1), need - 1):
-                return True
-            witness.pop()
-        return False
-
-    if extend((1 << g.order) - 1, k):
-        return tuple(witness)
-    return None
+    return find_clique_in(g.adj, (1 << g.order) - 1, k)
 
 
 def has_clique(g: UGraph, k: int) -> bool:
@@ -331,23 +359,8 @@ def has_independent_set(g: UGraph, k: int, within: Optional[int] = None) -> bool
     """
     if k <= 0:
         return True
-    cand0 = (1 << g.order) - 1 if within is None else within
-    adj = g.adj
-
-    def rec(candidates: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while candidates:
-            low = candidates & -candidates
-            v = low.bit_length() - 1
-            candidates ^= low
-            if candidates.bit_count() + 1 < need:
-                return False
-            if rec(candidates & ~adj[v], need - 1):
-                return True
-        return False
-
-    return rec(cand0, k)
+    cand = (1 << g.order) - 1 if within is None else within
+    return find_clique_in(g.adj, cand, k, -1) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -396,27 +409,7 @@ def find_digraph_independent_set(d: BitDigraph, m: int) -> Optional[tuple[int, .
         raise ValueError("m must be >= 1")
     if m > d.order:
         return None
-    na = d.nonadjacency_masks()
-    witness: list[int] = []
-
-    def extend(candidates: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while candidates:
-            low = candidates & -candidates
-            v = low.bit_length() - 1
-            candidates ^= low
-            if candidates.bit_count() + 1 < need:
-                return False
-            witness.append(v)
-            if extend(candidates & na[v], need - 1):
-                return True
-            witness.pop()
-        return False
-
-    if extend((1 << d.order) - 1, m):
-        return tuple(witness)
-    return None
+    return find_clique_in(d.nonadjacency_masks(), (1 << d.order) - 1, m)
 
 
 def digraph_independent(d: BitDigraph, m: int) -> bool:

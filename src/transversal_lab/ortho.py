@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .graphs import UGraph, bits
+from .graphs import UGraph, bits, find_clique_in
 
 RatVec = tuple[int, ...]
 
@@ -146,25 +146,6 @@ def alpha_lower_search(
     nodes = 0
     budget_hit = False
 
-    def creates_big_clique(chosen: int, v: int) -> bool:
-        """Would adding v create an (m+1)-clique of non-orthogonal vectors?"""
-        cand = chosen & nonortho[v]
-
-        def extend(c: int, need: int) -> bool:
-            if need == 0:
-                return True
-            while c:
-                low = c & -c
-                u = low.bit_length() - 1
-                c ^= low
-                if c.bit_count() + 1 < need:
-                    return False
-                if extend(c & nonortho[u], need - 1):
-                    return True
-            return False
-
-        return extend(cand, m)
-
     def branch(idx: int, chosen: int, count: int) -> None:
         nonlocal best_mask, best_size, nodes, budget_hit
         if budget_hit:
@@ -178,7 +159,9 @@ def alpha_lower_search(
             best_mask = chosen
         if idx == size or count + (size - idx) <= best_size:
             return
-        if not creates_big_clique(chosen, idx):
+        # take idx only if it closes no (m+1)-clique of pairwise
+        # non-orthogonal vectors
+        if find_clique_in(nonortho, chosen & nonortho[idx], m) is None:
             branch(idx + 1, chosen | (1 << idx), count + 1)
         branch(idx + 1, chosen, count)
 

@@ -35,16 +35,17 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Callable, Iterable, Optional
 
 from .canon import canonical_label
-from .errors import NotACounterexample
+from .errors import NotACounterexample, VerificationError
 from .graphs import (
     BitDigraph,
+    count_cliques_in,
     digraph_independent,
+    find_clique_in,
     find_digraph_independent_set,
     find_transitive_set,
     has_transitive_set,
@@ -326,37 +327,6 @@ class _Extender:
         use_triple_table = trans_n == 3
         only_empty = trans_n == 2
 
-        def indep_blocked(i: int, zset: int) -> bool:
-            # would making i a non-neighbour complete an independent m-set
-            # through the new vertex?
-            if indep_m is None:
-                return False
-            if indep_m == 2:
-                return True
-            cand = na[i] & zset
-            if indep_m == 3:
-                return cand != 0
-            if indep_m == 4:
-                rest = cand
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    if na[low.bit_length() - 1] & cand & ~low:
-                        return True
-                return False
-
-            def rec(c: int, need: int) -> bool:
-                if need == 0:
-                    return True
-                while c:
-                    low = c & -c
-                    c ^= low
-                    if rec(c & na[low.bit_length() - 1], need - 1):
-                        return True
-                return False
-
-            return rec(cand, indep_m - 2)
-
         def leaf_ok(svec: tuple[int, ...]) -> bool:
             if trans_n is None or use_triple_table or only_empty:
                 return True
@@ -378,7 +348,13 @@ class _Extender:
             for s in state_choices:
                 if not (av >> s) & 1:
                     continue
-                if s == 0 and indep_blocked(i, zset):
+                # would making i a non-neighbour complete an independent
+                # m-set through the new vertex?
+                if (
+                    s == 0
+                    and indep_m is not None
+                    and find_clique_in(na, na[i] & zset, indep_m - 2) is not None
+                ):
                     continue
                 if saved is None:
                     saved = allow[i + 1 :]
@@ -450,7 +426,6 @@ def enumerate_good_classes(
     *,
     node_budget: Optional[int] = None,
     time_budget: Optional[float] = None,
-    threads: int = 1,
 ) -> EnumerationOutcome:
     """Isomorph-free enumeration of digraphs avoiding transitive trans_n-sets
     and independent indep_m-sets, by increasing order.
@@ -483,22 +458,13 @@ def enumerate_good_classes(
         parents = levels[-1]
         seen: set[bytes] = set()
         next_level: list[BitDigraph] = []
-        if threads > 1 and len(parents) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                batches = pool.map(expand, parents)
-                for batch in batches:
-                    for label, child in batch:
-                        if label not in seen:
-                            seen.add(label)
-                            next_level.append(child)
-        else:
-            for parent in parents:
-                for label, child in expand(parent):
-                    if label not in seen:
-                        seen.add(label)
-                        next_level.append(child)
-                if budget.hit:
-                    break
+        for parent in parents:
+            for label, child in expand(parent):
+                if label not in seen:
+                    seen.add(label)
+                    next_level.append(child)
+            if budget.hit:
+                break
         if budget.hit:
             break
         order += 1
@@ -604,45 +570,7 @@ def _annealing_energy(out: list[int], n_vertices: int, m: int) -> int:
             energy += (inn[y] & inn[z]).bit_count()
     full = (1 << n_vertices) - 1
     na = [full ^ (out[v] | inn[v] | (1 << v)) for v in range(n_vertices)]
-
-    def count(cand: int, need: int, lowest: int) -> int:
-        if need == 0:
-            return 1
-        total = 0
-        cand &= ~((1 << lowest) - 1)
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            if cand.bit_count() + 1 < need:
-                break
-            total += count(cand & na[v], need - 1, v + 1)
-        return total
-
-    for v in range(n_vertices):
-        energy += count(na[v] & ~((1 << (v + 1)) - 1), m - 1, v + 1)
-    return energy
-
-
-def _build_triple_transitive_table() -> list[list[list[bool]]]:
-    """table[a][b][c]: does the triple x < y < z with pair states
-    a = (x,y), b = (x,z), c = (y,z) contain a transitive triple?
-    State encoding per pair: bit 0 = arc low -> high, bit 1 = reverse."""
-    table = [[[False] * 4 for _ in range(4)] for _ in range(4)]
-    for a, b, c in product(range(4), repeat=3):
-        arcs = {
-            ("x", "y"): a & 1, ("y", "x"): a & 2,
-            ("x", "z"): b & 1, ("z", "x"): b & 2,
-            ("y", "z"): c & 1, ("z", "y"): c & 2,
-        }
-        for p, q, r in permutations("xyz"):
-            if arcs[(p, q)] and arcs[(p, r)] and arcs[(q, r)]:
-                table[a][b][c] = True
-                break
-    return table
-
-
-_TRIPLE_TRANS = _build_triple_transitive_table()
+    return energy + count_cliques_in(na, full, m)
 
 
 class _AnnealState:
@@ -682,24 +610,8 @@ class _AnnealState:
         """Independent m-sets containing the (currently non-adjacent)
         pair {i, j}: independent (m-2)-subsets of their common
         non-neighbourhood."""
-        cand0 = self.na[i] & self.na[j] & ~(1 << i) & ~(1 << j)
-        na = self.na
-        need0 = self.m - 2
-
-        def count(cand: int, need: int) -> int:
-            if need == 0:
-                return 1
-            total = 0
-            while cand:
-                low = cand & -cand
-                v = low.bit_length() - 1
-                cand ^= low
-                if cand.bit_count() + 1 < need:
-                    break
-                total += count(cand & na[v], need - 1)
-            return total
-
-        return count(cand0, need0)
+        cand = self.na[i] & self.na[j] & ~(1 << i) & ~(1 << j)
+        return count_cliques_in(self.na, cand, self.m - 2)
 
     def _full_energy(self) -> int:
         out = self.build_out()
@@ -721,24 +633,21 @@ class _AnnealState:
         if old_state == new_state:
             return 0
         delta = 0
-        table = _TRIPLE_TRANS
+        # the triple x < y < z with pair states a = (x,y), b = (x,z),
+        # c = (y,z) is transitive iff bit c of _TBAD[a][b] is set
+        tbad = _TBAD
         for w in range(self.order):
             if w == i or w == j:
                 continue
-            # order the triple ascending and look up both configurations
             if w < i:
-                a_old, a_new = self.state_of(w, i), self.state_of(w, i)
-                b_old, b_new = self.state_of(w, j), self.state_of(w, j)
-                c_old, c_new = old_state, new_state
-                t_old = table[a_old][b_old][c_old]
-                t_new = table[a_new][b_new][c_new]
+                row = tbad[self.state_of(w, i)][self.state_of(w, j)]
+                delta += (row >> new_state & 1) - (row >> old_state & 1)
             elif w < j:
-                t_old = table[self.state_of(i, w)][old_state][self.state_of(w, j)]
-                t_new = table[self.state_of(i, w)][new_state][self.state_of(w, j)]
+                a, c = self.state_of(i, w), self.state_of(w, j)
+                delta += (tbad[a][new_state] >> c & 1) - (tbad[a][old_state] >> c & 1)
             else:
-                t_old = table[old_state][self.state_of(i, w)][self.state_of(j, w)]
-                t_new = table[new_state][self.state_of(i, w)][self.state_of(j, w)]
-            delta += int(t_new) - int(t_old)
+                b, c = self.state_of(i, w), self.state_of(j, w)
+                delta += (tbad[new_state][b] >> c & 1) - (tbad[old_state][b] >> c & 1)
         if (old_state == 0) != (new_state == 0):
             through = self._count_indep_through_pair(i, j)
             delta += through if new_state == 0 else -through
@@ -795,7 +704,12 @@ def probe_local_search(
                 anneal.apply(k, new, delta)
             if it % 8192 == 8191:
                 # guard against delta drift; a mismatch here is a bug
-                assert anneal.energy == anneal._full_energy()
+                full = anneal._full_energy()
+                if anneal.energy != full:
+                    raise VerificationError(
+                        f"annealer energy drifted at move {it}: "
+                        f"incremental {anneal.energy}, recomputed {full}"
+                    )
         if anneal.energy == 0:
             digraph = BitDigraph(order, anneal.build_out())
             if not has_transitive_set(digraph, 3) and not digraph_independent(digraph, m):
@@ -815,7 +729,6 @@ def search_dr(
     max_order: Optional[int] = None,
     node_budget: Optional[int] = None,
     time_budget: Optional[float] = None,
-    threads: int = 1,
     probe: bool = True,
     probe_max_order: int = 18,
     known: Optional[dict[tuple[int, int], int]] = None,
@@ -868,7 +781,6 @@ def search_dr(
         search_cap,
         node_budget=remaining_nodes,
         time_budget=time_budget,
-        threads=threads,
     )
     deepest = outcome.deepest()
     if deepest is not None and (best_cert is None or deepest.order > best_cert.order):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,8 +7,10 @@ from transversal_lab.errors import BudgetExceeded
 from transversal_lab.graphs import (
     BitDigraph,
     UGraph,
+    count_cliques_in,
     digraph_independent,
     find_clique,
+    find_clique_in,
     find_digraph_independent_set,
     find_transitive_set,
     has_clique,
@@ -84,6 +87,37 @@ class TestClique:
 
     def test_k_exceeding_order(self):
         assert not has_clique(UGraph.complete(3), 4)
+
+
+class TestCliqueKernels:
+    def test_find_and_count_match_brute_force(self):
+        # find_clique_in (cliques, and with flip=-1 independent sets) and
+        # count_cliques_in against itertools.combinations, whose first hit
+        # is the lexicographically least subset
+        rng = random.Random(11)
+        for _ in range(150):
+            order = rng.randint(0, 10)
+            p = rng.choice((0.2, 0.5, 0.8))
+            g = UGraph.from_edges(
+                order,
+                [(u, v) for u, v in combinations(range(order), 2) if rng.random() < p],
+            )
+            for cand in ((1 << order) - 1, rng.getrandbits(order) if order else 0):
+                members = [v for v in range(order) if (cand >> v) & 1]
+                for k in range(6):
+                    cliques = [
+                        c for c in combinations(members, k)
+                        if all(g.has_edge(u, v) for u, v in combinations(c, 2))
+                    ]
+                    indeps = [
+                        c for c in combinations(members, k)
+                        if not any(g.has_edge(u, v) for u, v in combinations(c, 2))
+                    ]
+                    assert find_clique_in(g.adj, cand, k) == (cliques[0] if cliques else None)
+                    assert find_clique_in(g.adj, cand, k, -1) == (
+                        indeps[0] if indeps else None
+                    )
+                    assert count_cliques_in(g.adj, cand, k) == len(cliques)
 
 
 class TestIndependence:

@@ -1,7 +1,10 @@
+import random
+from itertools import combinations, permutations
+
 import pytest
 
 from transversal_lab.canon import canonical_label
-from transversal_lab.errors import NotACounterexample
+from transversal_lab.errors import NotACounterexample, VerificationError
 from transversal_lab.graphs import BitDigraph, digraph_independent, has_transitive_set
 from transversal_lab.ramsey import (
         RamseyTable,
@@ -97,15 +100,6 @@ class TestSearchDr:
         assert values[(2, 2)] <= values[(3, 2)]
         assert values[(2, 3)] <= values[(3, 3)]
         assert values[(3, 2)] <= values[(3, 3)]
-
-    def test_threads_give_identical_results(self):
-        serial = search_dr(3, 3, threads=1)
-        threaded = search_dr(3, 3, threads=4)
-        assert serial.level_counts == threaded.level_counts
-        assert serial.lower == threaded.lower
-        assert canonical_label(serial.certificate.digraph) == canonical_label(
-            threaded.certificate.digraph
-        )
 
 
 class TestIsomorphRejection:
@@ -206,6 +200,56 @@ class TestCirculants:
         cand = probe_local_search(4, 14)
         assert cand is not None and cand.order == 14
         assert check_counterexample(cand, 3, 4).reverify()
+
+
+def brute_force_energy(out, order, m):
+    """Transitive triples plus independent m-sets, by subset scan."""
+    def arc(u, v):
+        return (out[u] >> v) & 1
+
+    triples = sum(
+        1
+        for t in combinations(range(order), 3)
+        if any(arc(x, y) and arc(x, z) and arc(y, z) for x, y, z in permutations(t))
+    )
+    indeps = sum(
+        1
+        for c in combinations(range(order), m)
+        if not any(arc(u, v) or arc(v, u) for u, v in combinations(c, 2))
+    )
+    return triples + indeps
+
+
+class TestAnnealer:
+    def test_incremental_energy_matches_full_and_brute_force(self):
+        # _full_energy is _annealing_energy on the current arcs
+        from transversal_lab.ramsey import _AnnealState
+
+        rng = random.Random(5)
+        for order in (7, 8, 9):
+            for m in (2, 3, 4):
+                n_pairs = order * (order - 1) // 2
+                anneal = _AnnealState(order, m, [rng.randint(0, 2) for _ in range(n_pairs)])
+                for flip in range(200):
+                    k = rng.randrange(n_pairs)
+                    new = rng.choice([s for s in (0, 1, 2) if s != anneal.states[k]])
+                    anneal.apply(k, new, anneal.flip_delta(k, new))
+                    assert anneal.energy == anneal._full_energy()
+                    if flip % 10 == 0:
+                        out = anneal.build_out()
+                        assert anneal.energy == brute_force_energy(out, order, m)
+
+    def test_drift_guard_raises(self, monkeypatch):
+        # an off-by-one delta must stop the walk with an explicit error,
+        # which, unlike an assert, survives python -O
+        from transversal_lab.ramsey import _AnnealState, probe_local_search
+
+        exact = _AnnealState.flip_delta
+        monkeypatch.setattr(
+            _AnnealState, "flip_delta", lambda self, k, s: exact(self, k, s) + 1
+        )
+        with pytest.raises(VerificationError, match="drifted"):
+            probe_local_search(2, 10, seeds=1, iters=8192)
 
 
 class TestUniqueExtremalDigraph:
