@@ -368,34 +368,45 @@ def has_independent_set(g: UGraph, k: int, within: Optional[int] = None) -> bool
 # ---------------------------------------------------------------------------
 
 
-def find_transitive_set(d: BitDigraph, n: int) -> Optional[tuple[int, ...]]:
-    """Lexicographically least ordered tuple v_1..v_n with every forward arc.
+def find_transitive_in(out: Sequence[int], cand: int, k: int) -> Optional[tuple[int, ...]]:
+    """Lexicographically least ordered k-tuple of distinct vertices of the
+    mask `cand` with v_i -> v_j in `out` for all i < j, or None; arcs in
+    the reverse direction are permitted and ignored.
 
-    A transitive n-set here is an ordered tuple of distinct vertices with
-    v_i -> v_j present for all i < j; arcs in the reverse direction are
-    permitted and ignored.  Returns None if no such tuple exists.
+    As find_clique_in, except that a later member may precede an earlier
+    one, so a failed first member stays a candidate.  Rows carry no
+    self-loop.
     """
+    if k <= 1:
+        if k <= 0:
+            return ()
+        return ((cand & -cand).bit_length() - 1,) if cand else None
+    if cand.bit_count() < k:
+        return None
+    todo = cand
+    while todo:
+        low = todo & -todo
+        v = low.bit_length() - 1
+        todo ^= low
+        rest = cand & out[v]
+        if k == 2:
+            if rest:
+                return (v, (rest & -rest).bit_length() - 1)
+        else:
+            found = find_transitive_in(out, rest, k - 1)
+            if found is not None:
+                return (v,) + found
+    return None
+
+
+def find_transitive_set(d: BitDigraph, n: int) -> Optional[tuple[int, ...]]:
+    """Lexicographically least transitive n-set of d (see find_transitive_in),
+    or None."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > d.order:
         return None
-    out = d.out
-    full = (1 << d.order) - 1
-    witness: list[int] = []
-
-    def extend(candidates: int, need: int) -> bool:
-        if need == 0:
-            return True
-        for v in bits(candidates):
-            witness.append(v)
-            if extend(candidates & out[v] & ~(1 << v), need - 1):
-                return True
-            witness.pop()
-        return False
-
-    if extend(full, n):
-        return tuple(witness)
-    return None
+    return find_transitive_in(d.out, (1 << d.order) - 1, n)
 
 
 def has_transitive_set(d: BitDigraph, n: int) -> bool:

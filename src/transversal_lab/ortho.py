@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .graphs import UGraph, bits, find_clique_in
+from .graphs import UGraph, bits, find_clique_in, has_independent_set
 
 RatVec = tuple[int, ...]
 
@@ -95,13 +95,11 @@ def ortho_graph(family: VectorFamily) -> UGraph:
     return UGraph(n, adj)
 
 
-def alpha_check(family: VectorFamily, m: int, *, node_budget: Optional[int] = None) -> bool:
+def alpha_check(family: VectorFamily, m: int) -> bool:
     """True iff every (m+1)-subset of the family contains an orthogonal
     pair, i.e. the orthogonality graph has independence number <= m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    from .graphs import has_independent_set
-
     g = ortho_graph(family)
     return not has_independent_set(g, m + 1)
 

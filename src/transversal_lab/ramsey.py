@@ -17,17 +17,17 @@ unlabelled digraph is visited exactly once.  Goodness is hereditary under
 vertex deletion, which is what makes the level-by-level exhaustion sound:
 an empty level proves no larger counterexample exists.
 
-Two construction probes run before the general search.  Circulant
-digraphs on Z_q with a sum-free difference set have no transitive triple,
-and their independent sets are cliques of a complement circulant, so
-scanning difference sets yields deep counterexamples (Ramsey-style cyclic
-lower bounds) that pure vertex-by-vertex search cannot reach at desk
-scale.  On top of that, for n = 3 a deterministic annealing walk over
-pair states hunts counterexamples at orders beyond the best circulant;
-2-cycles cannot matter there, because a transitive triple needs all three
-of its pairs arced.  Probe output is re-verified by the generic
-predicates before use, so probe results carry the same trust as
-enumerated ones.
+Two construction probes run before the general search.  Translation is
+an automorphism of a circulant digraph on Z_q, so it has a transitive
+n-tuple or an independent m-set iff it has one starting at vertex 0;
+scanning difference sets this way yields deep counterexamples
+(Ramsey-style cyclic lower bounds) that pure vertex-by-vertex search
+cannot reach at desk scale.  On top of that, for n = 3 a deterministic
+annealing walk over pair states hunts counterexamples at orders beyond
+the best circulant; 2-cycles cannot matter there, because a transitive
+triple needs all three of its pairs arced.  Probe output is re-verified
+by the generic predicates before use, so probe results carry the same
+trust as enumerated ones.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .graphs import (
     digraph_independent,
     find_clique_in,
     find_digraph_independent_set,
+    find_transitive_in,
     find_transitive_set,
     has_transitive_set,
 )
@@ -227,12 +228,8 @@ def dr_bounds(
         if entry is not None:
             hi = min(hi, entry[1])
         if b == 2:
-            root = 1 << ((a - 1) // 2) if (a - 1) % 2 == 0 else None
-            if root is None:
-                # ceil(2^((a-1)/2)) for odd exponent halves
-                exact = 2 ** ((a - 1) / 2)
-                root = int(exact) + (0 if float(int(exact)) == exact else 1)
-            lo = max(lo, root)
+            # ceil(sqrt(2^(a-1))) in exact integer arithmetic
+            lo = max(lo, math.isqrt((1 << (a - 1)) - 1) + 1)
             hi = min(hi, 1 << (a - 1))
         if lo > hi:
             raise AssertionError(f"inconsistent dr bounds for ({a},{b}): [{lo},{hi}]")
@@ -404,6 +401,9 @@ class EnumerationOutcome:
 
 
 class _Budget:
+    """Node and wall-clock limits shared by the phases of one search; the
+    deadline is fixed at construction and `hit` stays set once passed."""
+
     def __init__(self, node_budget: Optional[int], time_budget: Optional[float]):
         self.node_budget = node_budget
         self.deadline = time.monotonic() + time_budget if time_budget else None
@@ -418,26 +418,34 @@ class _Budget:
             self.hit = True
         return not self.hit
 
+    def out_of_time(self) -> bool:
+        """Check the clock without spending a node; True once the budget is hit."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self.hit = True
+        return self.hit
+
 
 def enumerate_good_classes(
     trans_n: Optional[int],
     indep_m: Optional[int],
     max_order: int,
     *,
-    node_budget: Optional[int] = None,
-    time_budget: Optional[float] = None,
+    budget: Optional[_Budget] = None,
 ) -> EnumerationOutcome:
     """Isomorph-free enumeration of digraphs avoiding transitive trans_n-sets
     and independent indep_m-sets, by increasing order.
 
     Either constraint may be None (unconstrained).  Requires trans_n >= 2
-    and indep_m >= 2 when given.
+    and indep_m >= 2 when given.  The outcome counts only the nodes spent
+    here from `budget`, which is unlimited when None.
     """
     if max_order < 1:
         return EnumerationOutcome([], None, False, 0)
     if (trans_n is not None and trans_n < 2) or (indep_m is not None and indep_m < 2):
         raise ValueError("constraints must be >= 2 when given")
-    budget = _Budget(node_budget, time_budget)
+    if budget is None:
+        budget = _Budget(None, None)
+    start_nodes = budget.nodes
     levels: list[list[BitDigraph]] = [[BitDigraph.empty(1)]]
     budget.spend()
     empty_at: Optional[int] = None
@@ -472,7 +480,7 @@ def enumerate_good_classes(
         if not next_level:
             empty_at = order
             break
-    return EnumerationOutcome(levels, empty_at, budget.hit, budget.nodes)
+    return EnumerationOutcome(levels, empty_at, budget.hit, budget.nodes - start_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -490,44 +498,31 @@ def circulant_digraph(q: int, diffs: Iterable[int]) -> BitDigraph:
     return BitDigraph(q, out)
 
 
-def _circulant_is_good(q: int, diffs: tuple[int, ...], n: int, m: int) -> bool:
-    dset = set(diffs)
-    if n == 3:
-        # transitive triple exists iff a + b lands back in the difference set
-        for a in dset:
-            for b in dset:
-                c = (a + b) % q
-                if c != 0 and c in dset:
-                    return False
-    else:
-        if has_transitive_set(circulant_digraph(q, diffs), n):
-            return False
-    # independent sets are translation-invariant, so only sets through 0 matter
-    allowed = [
-        d for d in range(1, q) if d not in dset and (q - d) % q not in dset
-    ]
-    allowed_set = set(allowed)
-
-    def extend(chosen: list[int], rest: list[int], need: int) -> bool:
-        if need == 0:
-            return True
-        for idx, d in enumerate(rest):
-            if all((d - c) % q in allowed_set for c in chosen):
-                if extend(chosen + [d], rest[idx + 1 :], need - 1):
-                    return True
+def _circulant_is_good(q: int, diffs: Iterable[int], n: int, m: int) -> bool:
+    """True iff circulant_digraph(q, diffs) has no transitive n-tuple and no
+    independent m-set, searched from vertex 0 on rows rotated from its own."""
+    full = (1 << q) - 1
+    out0 = in0 = 0
+    for d in diffs:
+        out0 |= 1 << d
+        in0 |= 1 << (q - d)  # d -> 0
+    rows = [((out0 << i) | (out0 >> (q - i))) & full for i in range(q)]
+    if find_transitive_in(rows, out0, n - 1) is not None:
         return False
-
-    return not extend([], allowed, m - 1)
+    na0 = full ^ (out0 | in0 | 1)
+    na_rows = [((na0 << i) | (na0 >> (q - i))) & full for i in range(q)]
+    return find_clique_in(na_rows, na0, m - 1) is None
 
 
 def probe_circulants(
-    n: int, m: int, max_q: int, *, min_q: int = 2
+    n: int, m: int, max_q: int, *, min_q: int = 2, budget: Optional[_Budget] = None
 ) -> Optional[BitDigraph]:
     """Deepest good circulant digraph with order in [min_q, max_q], if any.
 
     Scans every way of taking each difference pair {d, q-d} as absent,
     forward, backward, or doubled, in deterministic order; returns the
-    first good configuration at the largest feasible order.
+    first good configuration at the largest feasible order, or None once
+    `budget` is hit; the clock is checked per configuration, no nodes spent.
     """
     for q in range(max_q, min_q - 1, -1):
         half_pairs = [(d, q - d) for d in range(1, (q + 1) // 2)]
@@ -536,6 +531,8 @@ def probe_circulants(
         if self_paired:
             state_ranges = state_ranges + [range(2)]
         for config in product(*state_ranges):
+            if budget is not None and budget.out_of_time():
+                return None
             diffs = []
             for (d, dneg), st in zip(half_pairs, config):
                 if st & 1:
@@ -544,9 +541,8 @@ def probe_circulants(
                     diffs.append(dneg)
             if self_paired and config[-1]:
                 diffs.append(q // 2)
-            diffs_t = tuple(diffs)
-            if _circulant_is_good(q, diffs_t, n, m):
-                return circulant_digraph(q, diffs_t)
+            if _circulant_is_good(q, diffs, n, m):
+                return circulant_digraph(q, diffs)
     return None
 
 
@@ -722,6 +718,10 @@ def probe_local_search(
 # ---------------------------------------------------------------------------
 
 
+# largest circulant order scanned; order q has 2^(q-1) difference sets
+PROBE_MAX_ORDER = 18
+
+
 def search_dr(
     n: int,
     m: int,
@@ -730,9 +730,7 @@ def search_dr(
     node_budget: Optional[int] = None,
     time_budget: Optional[float] = None,
     probe: bool = True,
-    probe_max_order: int = 18,
     known: Optional[dict[tuple[int, int], int]] = None,
-    table: Optional[RamseyTable] = None,
 ) -> DrResult:
     """Compute dr(n, m) exactly, or bound it as tightly as the budget allows.
 
@@ -740,8 +738,9 @@ def search_dr(
     annealing walk upward from the best circulant order), giving fast deep
     certificates; (2) exhaustive isomorph-free enumeration by increasing
     order, which proves exactness when an empty level is reached; (3) bound
-    arithmetic to close or report the remaining gap.  Probe moves count
-    against the node budget.  Exact values supplied in `known` feed the
+    arithmetic to close or report the remaining gap.  One budget bounds
+    all phases; annealer moves and extender nodes count as nodes.  Exact
+    values supplied in `known` feed the
     bounds only for strictly smaller parameter pairs, so the search cannot
     be short-circuited by its own target.
     """
@@ -751,15 +750,15 @@ def search_dr(
         return DrResult(n, m, 1, 1, True, None, "bound-table")
 
     known = {k: v for k, v in (known or {}).items() if k != (n, m)}
-    _, hi_bound = dr_bounds(n, m, table=table, known=known)
+    _, hi_bound = dr_bounds(n, m, known=known)
     # searching past hi_bound is provably futile: the first empty level
     # arrives at dr(n, m) <= hi_bound, and heredity ends the run there
     search_cap = hi_bound if max_order is None else min(max_order, hi_bound)
 
-    probe_budget = _Budget(node_budget, time_budget)
+    budget = _Budget(node_budget, time_budget)
     best_cert: Optional[DrCertificate] = None
     if probe:
-        cand = probe_circulants(n, m, min(search_cap - 1, probe_max_order))
+        cand = probe_circulants(n, m, min(search_cap - 1, PROBE_MAX_ORDER), budget=budget)
         if cand is not None:
             best_cert = check_counterexample(cand, n, m)
         if n == 3:
@@ -767,21 +766,12 @@ def search_dr(
             # order the annealer cannot crack
             floor = best_cert.order if best_cert is not None else 1
             for order in range(floor + 1, search_cap):
-                cand = probe_local_search(m, order, budget=probe_budget)
+                cand = probe_local_search(m, order, budget=budget)
                 if cand is None:
                     break
                 best_cert = check_counterexample(cand, n, m)
 
-    remaining_nodes = (
-        None if node_budget is None else max(0, node_budget - probe_budget.nodes)
-    )
-    outcome = enumerate_good_classes(
-        n,
-        m,
-        search_cap,
-        node_budget=remaining_nodes,
-        time_budget=time_budget,
-    )
+    outcome = enumerate_good_classes(n, m, search_cap, budget=budget)
     deepest = outcome.deepest()
     if deepest is not None and (best_cert is None or deepest.order > best_cert.order):
         best_cert = check_counterexample(deepest, n, m)
@@ -810,7 +800,7 @@ def search_dr(
         exact=exact,
         certificate=best_cert,
         proof_method=proof,
-        nodes=probe_budget.nodes + outcome.nodes,
-        budget_hit=probe_budget.hit or outcome.budget_hit,
+        nodes=budget.nodes,
+        budget_hit=budget.hit,
         level_counts=tuple(len(level) for level in outcome.levels),
     )

@@ -164,7 +164,6 @@ def max_profile(
     runs out before the answer is pinned.
     """
     r = pg.num_classes
-    hi = r
     for m in range(r, 0, -1):
         res = find_transversal(pg, m, ell, node_budget=node_budget)
         if res.status == "found":
@@ -173,7 +172,6 @@ def max_profile(
             raise BudgetExceeded(
                 "max_profile budget exhausted", lower=0, upper=m
             )
-        hi = m - 1
     return 0
 
 

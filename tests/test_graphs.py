@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -12,6 +12,7 @@ from transversal_lab.graphs import (
     find_clique,
     find_clique_in,
     find_digraph_independent_set,
+    find_transitive_in,
     find_transitive_set,
     has_clique,
     has_transitive_set,
@@ -118,6 +119,25 @@ class TestCliqueKernels:
                         indeps[0] if indeps else None
                     )
                     assert count_cliques_in(g.adj, cand, k) == len(cliques)
+
+    def test_find_transitive_in_matches_brute_force(self):
+        # itertools.permutations yields the k-tuples of the sorted members
+        # in lexicographic order, so its first transitive one is the least
+        rng = random.Random(12)
+        for _ in range(120):
+            order = rng.randint(0, 8)
+            d = random_digraph(order, rng, rng.choice((0.2, 0.5, 0.8)))
+            for cand in ((1 << order) - 1, rng.getrandbits(order) if order else 0):
+                members = [v for v in range(order) if (cand >> v) & 1]
+                for k in range(6):
+                    least = next(
+                        (
+                            t for t in permutations(members, k)
+                            if all(d.has_arc(t[i], t[j]) for i, j in combinations(range(k), 2))
+                        ),
+                        None,
+                    )
+                    assert find_transitive_in(d.out, cand, k) == least
 
 
 class TestIndependence:

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -8,6 +9,7 @@ from transversal_lab.errors import NotACounterexample, VerificationError
 from transversal_lab.graphs import BitDigraph, digraph_independent, has_transitive_set
 from transversal_lab.ramsey import (
         RamseyTable,
+    _circulant_is_good,
     check_counterexample,
     circulant_digraph,
     dr_bounds,
@@ -92,6 +94,17 @@ class TestSearchDr:
         reverified = check_counterexample(cert.digraph, 3, 3)
         assert reverified.order == res.lower - 1
 
+    def test_time_budget_bounds_every_phase(self):
+        # unbounded, the circulant scan runs past one second for (6, 2), the
+        # annealer for (3, 4) and the enumeration for (5, 2); one deadline
+        # must stop all three phases
+        for n, m in ((6, 2), (5, 2), (3, 4)):
+            start = time.monotonic()
+            res = search_dr(n, m, time_budget=1.0)
+            assert time.monotonic() - start < 1.5
+            assert res.budget_hit
+            assert res.certificate.reverify()
+
     def test_monotone_in_n_and_m(self):
         values = {}
         for n, m in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
@@ -135,6 +148,15 @@ class TestDrBounds:
         lo, hi = dr_bounds(5, 2)
         assert lo >= 4  # 2^((5-1)/2)
         assert hi <= 16  # 2^(5-1)
+
+    def test_m_2_lower_bound_is_exact_ceiling(self):
+        # lo >= ceil(2^((a-1)/2)), i.e. lo^2 >= 2^(a-1), with equality from
+        # a = 6 on, where the power bound beats dr(a, 2) >= a: (lo-1)^2 < 2^(a-1)
+        for a in range(2, 201):
+            lo, _ = dr_bounds(a, 2)
+            assert lo * lo >= 1 << (a - 1)
+            if a >= 6:
+                assert (lo - 1) ** 2 < 1 << (a - 1), a
 
     def test_known_exact_value_used(self):
         lo, hi = dr_bounds(3, 4, known={(3, 3): 9})
@@ -180,6 +202,24 @@ class TestCirculants:
         assert best is not None and best.order == 13
         cert = check_counterexample(best, 3, 4)
         assert cert.reverify()
+
+    def test_probe_finds_order_13_for_5_2(self):
+        # positive control for the transitive kernel on rotated rows
+        best = probe_circulants(5, 2, 13)
+        assert best is not None and best.order == 13
+        assert check_counterexample(best, 5, 2).reverify()
+
+    def test_translation_check_matches_generic_predicates(self):
+        # every difference set the scan tries at q <= 9
+        for q in range(2, 10):
+            for mask in range(1 << (q - 1)):
+                diffs = tuple(d for d in range(1, q) if (mask >> (d - 1)) & 1)
+                c = circulant_digraph(q, diffs)
+                for n in (3, 4, 5):
+                    for m in (2, 3, 4):
+                        assert _circulant_is_good(q, diffs, n, m) == (
+                            not has_transitive_set(c, n) and not digraph_independent(c, m)
+                        ), (q, diffs, n, m)
 
     def test_sum_free_paley_construction(self):
         # difference set {2, 5, 6} mod 13 is sum-free and its complement
