@@ -202,8 +202,3 @@ def are_isomorphic(d1: BitDigraph, d2: BitDigraph) -> bool:
         return False
     return canonical_form(d1).out == canonical_form(d2).out
 
-
-def ugraph_canonical_label(g) -> bytes:
-    """Canonical byte string for an undirected graph via its symmetric digraph."""
-    d = BitDigraph(g.order, list(g.adj))
-    return canonical_label(d)

@@ -178,10 +178,6 @@ class BitDigraph:
             full ^ (self.out[v] | inn[v] | (1 << v)) for v in range(self.order)
         )
 
-    def underlying_ugraph(self) -> UGraph:
-        inn = self.in_masks()
-        return UGraph(self.order, [self.out[v] | inn[v] for v in range(self.order)])
-
     def relabel(self, perm: Sequence[int]) -> "BitDigraph":
         """Digraph with vertex v renamed perm[v]."""
         out = [0] * self.order
@@ -191,16 +187,6 @@ class BitDigraph:
                 row |= 1 << perm[v]
             out[perm[u]] = row
         return BitDigraph(self.order, out)
-
-    def delete_vertex(self, v: int) -> "BitDigraph":
-        keep = [u for u in range(self.order) if u != v]
-        pos = {u: i for i, u in enumerate(keep)}
-        out = [0] * len(keep)
-        for u in keep:
-            for w in bits(self.out[u]):
-                if w != v:
-                    out[pos[u]] |= 1 << pos[w]
-        return BitDigraph(len(keep), out)
 
     def __eq__(self, other) -> bool:
         return (

@@ -9,8 +9,13 @@ The search enumerates counterexample digraphs ("good" digraphs: no
 transitive n-set, no independent m-set) order by order.  Each new vertex
 chooses one of {none, forward, backward, both} against every prior vertex,
 in that order; forward means the arc runs from the existing vertex to the
-new one.  Branches creating a transitive n-set or an independent m-set are
-pruned as soon as the offending pair state is placed.  Isomorph rejection
+new one.  Digraphs are bit rows throughout (out[v], in[v] and
+non-adjacency masks).  For n = 3 a state is refused as soon as it
+completes a transitive triple, tested with a few row operations against
+the masks F and B of prior vertices with an arc to and from the new
+vertex; n = 2 allows no arc; for n >= 4 each child is checked once at the
+leaf.  A state none is refused as soon as it completes an independent
+m-set through the new vertex.  Isomorph rejection
 keeps one representative per isomorphism class at every order: a candidate
 is expanded only when its canonical label has not been seen, so each
 unlabelled digraph is visited exactly once.  Goodness is hereditary under
@@ -25,7 +30,10 @@ scanning difference sets this way yields deep counterexamples
 cannot reach at desk scale.  On top of that, for n = 3 a deterministic
 annealing walk over pair states hunts counterexamples at orders beyond
 the best circulant; 2-cycles cannot matter there, because a transitive
-triple needs all three of its pairs arced.  Probe output is re-verified
+triple needs all three of its pairs arced.  A triple with all three pairs
+arced and no 2-cycle is transitive unless it is a 3-cycle, so the walk
+counts the transitive triples through a pair from bit counts of the
+endpoints' rows.  Probe output is re-verified
 by the generic predicates before use, so probe results carry the same
 trust as enumerated ones.
 """
@@ -36,8 +44,8 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import permutations, product
-from typing import Callable, Iterable, Optional
+from itertools import product
+from typing import Iterable, Iterator, Optional
 
 from .canon import canonical_label
 from .errors import NotACounterexample, VerificationError
@@ -244,132 +252,59 @@ def dr_bounds(
 # ---------------------------------------------------------------------------
 
 
-def _build_transitive_triple_tables() -> list[list[int]]:
-    """tbad[pair_type][s_j] = bitmask over s_i marking states that complete
-    a transitive triple (j, i, new).
+def _good_children(
+    parent: BitDigraph, trans_n: Optional[int], indep_m: Optional[int]
+) -> Iterator[BitDigraph]:
+    """The good one-vertex extensions of a good parent, as digraphs.
 
-    Pair/state encoding: bit 0 = arc toward the higher-indexed vertex
-    (j -> i for pair types, existing -> new for states), bit 1 = the
-    reverse arc.
+    A DFS gives the new vertex v a pair state against the prior vertices in
+    ascending index order, trying none < forward < backward < both, so the
+    children come in lexicographic order of their state vectors.  F holds
+    the prior vertices with an arc to v, B those v has an arc to.  For n = 3 a
+    state on vertex i is refused when it completes a transitive triple
+    {j, i, v} with some j < i: forward (i -> v) when inn[i] & F or
+    out[i] & (F | B), backward (v -> i) when inn[i] & (F | B) or
+    out[i] & B, which covers the six orderings of the triple.  n = 2 allows
+    no arc at all.  For n >= 4 each child is checked at the leaf with the
+    generic transitive-set predicate.  Independent m-sets through v are
+    blocked as a non-neighbour is placed, via the set of prior vertices
+    given state none.
     """
-    tbad = [[0] * 4 for _ in range(4)]
-    names = ("j", "i", "v")
-    for pt, sj, si in product(range(4), repeat=3):
-        arcs = {
-            ("j", "i"): pt & 1,
-            ("i", "j"): pt & 2,
-            ("j", "v"): sj & 1,
-            ("v", "j"): sj & 2,
-            ("i", "v"): si & 1,
-            ("v", "i"): si & 2,
-        }
-        for x, y, z in permutations(names):
-            if arcs[(x, y)] and arcs[(x, z)] and arcs[(y, z)]:
-                tbad[pt][sj] |= 1 << si
-                break
-    return tbad
+    k = parent.order
+    out = parent.out
+    inn = parent.in_masks()
+    na = parent.nonadjacency_masks()
+    new_bit = 1 << k
+    states = (0,) if trans_n == 2 else (0, 1, 2, 3)
+    triples = trans_n == 3
+    leaf_n = trans_n if trans_n is not None and trans_n > 3 else None
 
-
-_TBAD = _build_transitive_triple_tables()
-_TALLOW = [[15 & ~_TBAD[pt][sj] for sj in range(4)] for pt in range(4)]
-
-
-def _extend_states(out: tuple[int, ...], k: int, s: tuple[int, ...]) -> BitDigraph:
-    """Digraph on k+1 vertices: parent rows plus new vertex k with states s."""
-    rows = list(out) + [0]
-    for i, st in enumerate(s):
-        if st & 1:
-            rows[i] |= 1 << k
-        if st & 2:
-            rows[k] |= 1 << i
-    return BitDigraph(k + 1, rows)
-
-
-class _Extender:
-    """Enumerates the good one-vertex extensions of a good parent digraph.
-
-    The DFS assigns the new vertex's pair state against prior vertices in
-    ascending index order, trying states none < forward < backward < both.
-    For n = 3 a precomputed table maintains, per future vertex, the mask of
-    states that avoid creating a transitive triple.  Independent m-sets
-    through the new vertex are blocked incrementally via the set of prior
-    vertices assigned state none.  For n >= 4 candidates are checked at the
-    leaves with the generic transitive-set predicate.
-    """
-
-    def __init__(self, parent: BitDigraph, trans_n: Optional[int], indep_m: Optional[int]):
-        self.parent = parent
-        self.k = parent.order
-        self.trans_n = trans_n
-        self.indep_m = indep_m
-        out = parent.out
-        k = self.k
-        self.na = parent.nonadjacency_masks()
-        self.pair_type = [
-            [((out[j] >> i) & 1) | (((out[i] >> j) & 1) << 1) for i in range(k)]
-            for j in range(k)
-        ]
-
-    def for_each(self, visit: Callable[[tuple[int, ...]], bool]) -> bool:
-        """Run visit(state vector) on every good extension, lexicographically.
-
-        visit returns True to stop early; returns True if stopped early.
-        """
-        k = self.k
-        trans_n, indep_m = self.trans_n, self.indep_m
-        na = self.na
-        pair_type = self.pair_type
-        allow = [15] * k
-        states = [0] * k
-        use_triple_table = trans_n == 3
-        only_empty = trans_n == 2
-
-        def leaf_ok(svec: tuple[int, ...]) -> bool:
-            if trans_n is None or use_triple_table or only_empty:
-                return True
-            child = _extend_states(self.parent.out, k, svec)
-            return not has_transitive_set(child, trans_n)
-
-        stopped = False
-
-        def rec(i: int, zset: int) -> bool:
-            nonlocal stopped
-            if i == k:
-                svec = tuple(states)
-                if leaf_ok(svec) and visit(svec):
-                    stopped = True
-                return stopped
-            saved: Optional[list[int]] = None
-            av = allow[i]
-            state_choices = (0,) if only_empty else (0, 1, 2, 3)
-            for s in state_choices:
-                if not (av >> s) & 1:
-                    continue
+    def rec(i: int, fwd: int, back: int, zset: int) -> Iterator[BitDigraph]:
+        if i == k:
+            rows = [row | new_bit if fwd >> j & 1 else row for j, row in enumerate(out)]
+            rows.append(back)
+            child = BitDigraph(k + 1, rows)
+            if leaf_n is None or not has_transitive_set(child, leaf_n):
+                yield child
+            return
+        bit = 1 << i
+        for s in states:
+            if s == 0:
                 # would making i a non-neighbour complete an independent
                 # m-set through the new vertex?
-                if (
-                    s == 0
-                    and indep_m is not None
-                    and find_clique_in(na, na[i] & zset, indep_m - 2) is not None
-                ):
-                    continue
-                if saved is None:
-                    saved = allow[i + 1 :]
-                else:
-                    allow[i + 1 :] = saved
-                if use_triple_table:
-                    row = pair_type[i]
-                    tallow = _TALLOW
-                    for t in range(i + 1, k):
-                        allow[t] &= tallow[row[t]][s]
-                states[i] = s
-                if rec(i + 1, zset | (1 << i) if s == 0 else zset):
-                    return True
-            if saved is not None:
-                allow[i + 1 :] = saved
-            return False
+                if indep_m is None or find_clique_in(na, na[i] & zset, indep_m - 2) is None:
+                    yield from rec(i + 1, fwd, back, zset | bit)
+                continue
+            if triples and (
+                (s & 1 and (inn[i] & fwd or out[i] & (fwd | back)))
+                or (s & 2 and (inn[i] & (fwd | back) or out[i] & back))
+            ):
+                continue
+            yield from rec(
+                i + 1, fwd | bit if s & 1 else fwd, back | bit if s & 2 else back, zset
+            )
 
-        return rec(0, 0)
+    return rec(0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +325,6 @@ class EnumerationOutcome:
 
     levels: list[list[BitDigraph]]
     exhausted_empty_order: Optional[int]
-    budget_hit: bool
     nodes: int
 
     def deepest(self) -> Optional[BitDigraph]:
@@ -440,7 +374,7 @@ def enumerate_good_classes(
     here from `budget`, which is unlimited when None.
     """
     if max_order < 1:
-        return EnumerationOutcome([], None, False, 0)
+        return EnumerationOutcome([], None, 0)
     if (trans_n is not None and trans_n < 2) or (indep_m is not None and indep_m < 2):
         raise ValueError("constraints must be >= 2 when given")
     if budget is None:
@@ -450,27 +384,18 @@ def enumerate_good_classes(
     budget.spend()
     empty_at: Optional[int] = None
 
-    def expand(parent: BitDigraph) -> list[tuple[bytes, BitDigraph]]:
-        found: list[tuple[bytes, BitDigraph]] = []
-
-        def visit(svec: tuple[int, ...]) -> bool:
-            child = _extend_states(parent.out, parent.order, svec)
-            found.append((canonical_label(child), child))
-            return not budget.spend()
-
-        _Extender(parent, trans_n, indep_m).for_each(visit)
-        return found
-
     order = 1
     while order < max_order and not budget.hit:
-        parents = levels[-1]
         seen: set[bytes] = set()
         next_level: list[BitDigraph] = []
-        for parent in parents:
-            for label, child in expand(parent):
+        for parent in levels[-1]:
+            for child in _good_children(parent, trans_n, indep_m):
+                label = canonical_label(child)
                 if label not in seen:
                     seen.add(label)
                     next_level.append(child)
+                if not budget.spend():
+                    break
             if budget.hit:
                 break
         if budget.hit:
@@ -480,7 +405,7 @@ def enumerate_good_classes(
         if not next_level:
             empty_at = order
             break
-    return EnumerationOutcome(levels, empty_at, budget.hit, budget.nodes - start_nodes)
+    return EnumerationOutcome(levels, empty_at, budget.nodes - start_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -572,35 +497,49 @@ def _annealing_energy(out: list[int], n_vertices: int, m: int) -> int:
 class _AnnealState:
     """Pair-state digraph with incremental violation counting.
 
-    Flipping one pair only touches the triples through it and the
-    independent m-sets containing both endpoints, so a move costs O(order)
+    Pair k is the k-th pair (i, j), i < j, in lexicographic order; state 1
+    is the arc i -> j, state 2 the arc j -> i, state 0 no arc.  Flipping
+    one pair only touches the triples through it and the independent
+    m-sets containing both endpoints, so a move costs a few row operations
     plus the (small) independent-set recount instead of a full rescan.
     """
 
     def __init__(self, order: int, m: int, states: list[int]):
         self.order = order
         self.m = m
-        self.pair_index = {}
-        self.pairs = []
-        for i in range(order):
-            for j in range(i + 1, order):
-                self.pair_index[(i, j)] = len(self.pairs)
-                self.pairs.append((i, j))
+        self.pairs = [(i, j) for i in range(order) for j in range(i + 1, order)]
         self.states = states
-        self.na = [0] * order  # mutual non-adjacency masks
+        self.out = [0] * order
+        self.inn = [0] * order
         full = (1 << order) - 1
-        for v in range(order):
-            self.na[v] = full ^ (1 << v)
-        for (i, j), s in zip(self.pairs, states):
+        self.na = [full ^ (1 << v) for v in range(order)]  # mutual non-adjacency
+        for k, s in enumerate(states):
             if s:
-                self.na[i] &= ~(1 << j)
-                self.na[j] &= ~(1 << i)
+                self._toggle(k, s)
         self.energy = self._full_energy()
 
-    def state_of(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return self.states[self.pair_index[(i, j)]]
+    def _toggle(self, k: int, s: int) -> None:
+        """Add the arc of state s > 0 to pair k, or remove it if present."""
+        i, j = self.pairs[k]
+        a, b = (i, j) if s == 1 else (j, i)
+        self.out[a] ^= 1 << b
+        self.inn[b] ^= 1 << a
+        self.na[i] ^= 1 << j
+        self.na[j] ^= 1 << i
+
+    def _triples_through(self, i: int, j: int, s: int) -> int:
+        """Transitive triples through pair {i, j} if it took state s.
+
+        A triple with all three pairs arced is transitive unless it is a
+        3-cycle, so with the arc a -> b these are the common neighbours w
+        of a and b less those closing the cycle a -> b -> w -> a.
+        """
+        if s == 0:
+            return 0
+        a, b = (i, j) if s == 1 else (j, i)
+        out, inn = self.out, self.inn
+        common = (out[a] | inn[a]) & (out[b] | inn[b])
+        return common.bit_count() - (out[b] & inn[a]).bit_count()
 
     def _count_indep_through_pair(self, i: int, j: int) -> int:
         """Independent m-sets containing the (currently non-adjacent)
@@ -610,17 +549,10 @@ class _AnnealState:
         return count_cliques_in(self.na, cand, self.m - 2)
 
     def _full_energy(self) -> int:
-        out = self.build_out()
-        return _annealing_energy(out, self.order, self.m)
+        return _annealing_energy(self.out, self.order, self.m)
 
     def build_out(self) -> list[int]:
-        out = [0] * self.order
-        for (i, j), s in zip(self.pairs, self.states):
-            if s == 1:
-                out[i] |= 1 << j
-            elif s == 2:
-                out[j] |= 1 << i
-        return out
+        return list(self.out)
 
     def flip_delta(self, k: int, new_state: int) -> int:
         """Energy change of setting pair k to new_state."""
@@ -628,38 +560,18 @@ class _AnnealState:
         old_state = self.states[k]
         if old_state == new_state:
             return 0
-        delta = 0
-        # the triple x < y < z with pair states a = (x,y), b = (x,z),
-        # c = (y,z) is transitive iff bit c of _TBAD[a][b] is set
-        tbad = _TBAD
-        for w in range(self.order):
-            if w == i or w == j:
-                continue
-            if w < i:
-                row = tbad[self.state_of(w, i)][self.state_of(w, j)]
-                delta += (row >> new_state & 1) - (row >> old_state & 1)
-            elif w < j:
-                a, c = self.state_of(i, w), self.state_of(w, j)
-                delta += (tbad[a][new_state] >> c & 1) - (tbad[a][old_state] >> c & 1)
-            else:
-                b, c = self.state_of(i, w), self.state_of(j, w)
-                delta += (tbad[new_state][b] >> c & 1) - (tbad[old_state][b] >> c & 1)
+        delta = self._triples_through(i, j, new_state) - self._triples_through(i, j, old_state)
         if (old_state == 0) != (new_state == 0):
             through = self._count_indep_through_pair(i, j)
             delta += through if new_state == 0 else -through
         return delta
 
     def apply(self, k: int, new_state: int, delta: int) -> None:
-        i, j = self.pairs[k]
-        old_state = self.states[k]
+        if self.states[k]:
+            self._toggle(k, self.states[k])
+        if new_state:
+            self._toggle(k, new_state)
         self.states[k] = new_state
-        if (old_state == 0) != (new_state == 0):
-            if new_state == 0:
-                self.na[i] |= 1 << j
-                self.na[j] |= 1 << i
-            else:
-                self.na[i] &= ~(1 << j)
-                self.na[j] &= ~(1 << i)
         self.energy += delta
 
 
@@ -746,6 +658,8 @@ def search_dr(
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
+    if max_order is not None and max_order < 1:
+        raise ValueError("max_order must be >= 1")
     if n == 1 or m == 1:
         return DrResult(n, m, 1, 1, True, None, "bound-table")
 

@@ -68,13 +68,6 @@ class NEstimate:
         return self.class_size if self.best_counterexample is not None else None
 
 
-def _independent_capacity_at_least(g: UGraph, members: int, need: int) -> bool:
-    """Does the vertex mask contain an independent set of size `need`?"""
-    if need <= 0:
-        return True
-    return has_independent_set(g, need, within=members)
-
-
 def find_transversal(
     pg: PartitionedGraph,
     m: int,
@@ -126,8 +119,8 @@ def find_transversal(
                 feasible = True
                 for later in chosen_classes[class_idx + 1 :]:
                     lmask = class_masks[later] & ~new_forbidden
-                    if lmask.bit_count() < ell or not _independent_capacity_at_least(
-                        g, lmask, ell
+                    if lmask.bit_count() < ell or not has_independent_set(
+                        g, ell, within=lmask
                     ):
                         feasible = False
                         break

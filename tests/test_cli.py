@@ -220,3 +220,11 @@ class TestExitCodes:
             "--cache-dir", str(tmp_path),
         )
         assert code == 2
+
+    def test_max_order_zero_is_2(self, capsys, tmp_path):
+        code = main([
+            "dr", "compute", "--n", "3", "--m", "3", "--max-order", "0",
+            "--cache-dir", str(tmp_path),
+        ])
+        assert code == 2
+        assert "max_order must be >= 1" in capsys.readouterr().err

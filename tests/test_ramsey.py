@@ -74,6 +74,11 @@ class TestSearchDr:
         assert res.certificate.reverify()
         assert res.level_counts == (1, 3, 9, 38, 80, 66, 10, 1, 0)
 
+    def test_max_order_below_one_rejected(self):
+        for max_order in (0, -1):
+            with pytest.raises(ValueError, match="max_order"):
+                search_dr(3, 3, max_order=max_order)
+
     def test_degenerate_cases(self):
         for n, m in ((1, 5), (5, 1), (1, 1)):
             res = search_dr(n, m)
@@ -234,12 +239,15 @@ class TestCirculants:
 
     def test_annealing_probe_reaches_order_14_for_3_4(self):
         # non-circulant territory: the annealer's fixed seed schedule
-        # cracks order 14, certifying dr(3,4) >= 15
-        from transversal_lab.ramsey import probe_local_search
+        # cracks order 14, certifying dr(3,4) >= 15; the move count pins the
+        # walk, so a changed delta or random draw shows here
+        from transversal_lab.ramsey import _Budget, probe_local_search
 
-        cand = probe_local_search(4, 14)
+        budget = _Budget(None, None)
+        cand = probe_local_search(4, 14, budget=budget)
         assert cand is not None and cand.order == 14
         assert check_counterexample(cand, 3, 4).reverify()
+        assert budget.nodes == 598_066
 
 
 def brute_force_energy(out, order, m):
@@ -266,7 +274,7 @@ class TestAnnealer:
         from transversal_lab.ramsey import _AnnealState
 
         rng = random.Random(5)
-        for order in (7, 8, 9):
+        for order in (7, 8, 9, 12, 14):
             for m in (2, 3, 4):
                 n_pairs = order * (order - 1) // 2
                 anneal = _AnnealState(order, m, [rng.randint(0, 2) for _ in range(n_pairs)])
@@ -310,24 +318,48 @@ class TestUniqueExtremalDigraph:
         )
 
 
+def extend_by_states(parent, states):
+    """The parent plus vertex k = parent.order: state bit 0 is the arc i -> k,
+    bit 1 the arc k -> i."""
+    k = parent.order
+    rows = list(parent.out) + [0]
+    for i, s in enumerate(states):
+        if s & 1:
+            rows[i] |= 1 << k
+        if s & 2:
+            rows[k] |= 1 << i
+    return BitDigraph(k + 1, rows)
+
+
+def has_two_cycle(d):
+    return any(d.out[u] >> v & 1 and d.out[v] >> u & 1 for u, v in combinations(range(d.order), 2))
+
+
 class TestExtensionGenerator:
     def test_matches_naive_filter_across_parameters(self):
+        # the children, in order, are the naively good one-vertex extensions
+        # taken in lexicographic order of their state vectors
         from itertools import product as iproduct
 
-        from transversal_lab.ramsey import _Extender, _extend_states
+        from transversal_lab.ramsey import _good_children
 
         for n_t, m_i in ((3, 3), (3, 4), (4, 2), (4, 3), (2, 4), (5, 3)):
             parents = [
                 d for d in all_labelled_digraphs(3) if naive_good(d, n_t, m_i)
             ][:25]
+            good4 = [d for d in all_labelled_digraphs(4) if naive_good(d, n_t, m_i)]
+            cyclic4 = [d for d in good4 if has_two_cycle(d)]
+            parents += good4[:: max(1, len(good4) // 6)][:6] + cyclic4[:: max(1, len(cyclic4) // 6)][:6]
+            if n_t != 2:
+                assert any(has_two_cycle(p) and p.order == 4 for p in parents), (n_t, m_i)
             for parent in parents:
-                got = set()
-                _Extender(parent, n_t, m_i).for_each(
-                    lambda sv: got.add(sv) and False or False
-                )
-                want = {
-                    sv
-                    for sv in iproduct(range(4), repeat=parent.order)
-                    if naive_good(_extend_states(parent.out, parent.order, sv), n_t, m_i)
-                }
-                assert got == want
+                got = [c.out for c in _good_children(parent, n_t, m_i)]
+                want = [
+                    child.out
+                    for child in (
+                        extend_by_states(parent, sv)
+                        for sv in iproduct(range(4), repeat=parent.order)
+                    )
+                    if naive_good(child, n_t, m_i)
+                ]
+                assert got == want, (n_t, m_i, parent.out)
