@@ -1,13 +1,21 @@
 """Canonical labelling of digraphs by partition refinement with backtracking.
 
-The canonical form of a digraph is the relabelling whose row-major
-adjacency bit matrix is lexicographically least among all leaves of the
-individualization-refinement search tree.  Two digraphs are isomorphic iff
-their canonical forms are equal, so the encoded form doubles as a complete
-isomorphism invariant.
+The canonical label of a digraph is a tuple of out-rows: the rows of the
+relabelling whose row tuple is lexicographically least among all leaves
+of the individualization-refinement search tree.  Two digraphs are
+isomorphic iff their labels are equal, so the label is a complete
+isomorphism invariant and also a concrete representative
+(`canonical_form`).
+
+Refinement uses a splitter queue (McKay and Piperno, "Practical graph
+isomorphism II", 2014): a cell is split by the numbers of arcs its
+vertices send into and receive from a queued splitter, and every fragment
+of a split is queued in turn, until the partition is equitable or
+discrete.  When the refinement of the unit partition is already discrete
+its order is the only leaf, and no search runs.
 
 Automorphisms discovered during the search (two leaves producing the same
-matrix) are folded into an orbit partition, which prunes branches whose
+rows) are folded into an orbit partition, which prunes branches whose
 target vertex is equivalent to one already tried.  This keeps highly
 symmetric inputs (empty digraphs, complete digraphs with all 2-cycles)
 from exploding into factorially many leaves.
@@ -17,38 +25,50 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .codec import encode_digraph6
-from .graphs import BitDigraph
+# not called here; bound for callers that look the encoder up on this module
+from .codec import encode_digraph6  # noqa: F401
+from .graphs import BitDigraph, bits
 
 
-def _refine(out: Sequence[int], inn: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement of an ordered partition.
+def _refine(out: Sequence[int], inn: Sequence[int], cells: list[int], queue: list[int]) -> list[int]:
+    """Refine the ordered partition `cells` (vertex masks) in place against
+    the splitter masks in `queue` and return it.
 
-    Cells are repeatedly split by the pair (arcs into splitter, arcs out of
-    splitter) until stable.  Cell order is deterministic: fragments replace
-    their parent cell in sorted key order, so refinement commutes with
-    relabelling.
+    Each splitter splits every cell by the key (arcs into the splitter,
+    arcs from the splitter); the fragments replace their cell in sorted key
+    order and are queued as splitters.  A queued mask is always a union of
+    current cells.  Seeded with all cells, or, after individualizing v in
+    an equitable partition, with 1 << v alone, the result is equitable or
+    discrete.  Nothing depends on vertex names, so refinement commutes
+    with relabelling.
     """
-    work = True
-    while work:
-        work = False
-        for splitter in list(cells):
-            smask = 0
-            for v in splitter:
-                smask |= 1 << v
-            for idx, cell in enumerate(cells):
-                if len(cell) == 1:
-                    continue
-                groups: dict[tuple[int, int], list[int]] = {}
-                for v in cell:
-                    key = ((out[v] & smask).bit_count(), (inn[v] & smask).bit_count())
-                    groups.setdefault(key, []).append(v)
-                if len(groups) > 1:
-                    cells[idx : idx + 1] = [groups[k] for k in sorted(groups)]
-                    work = True
-                    break
-            if work:
-                break
+    n = len(out)
+    ncells = len(cells)
+    head = 0
+    while head < len(queue) and ncells < n:
+        s = queue[head]
+        head += 1
+        idx = 0
+        while idx < ncells:
+            cell = cells[idx]
+            idx += 1
+            if not cell & (cell - 1):
+                continue
+            groups: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                key = (out[v] & s).bit_count() << 8 | (inn[v] & s).bit_count()
+                groups[key] = groups.get(key, 0) | low
+            if len(groups) == 1:
+                continue
+            fragments = [groups[k] for k in sorted(groups)]
+            cells[idx - 1 : idx] = fragments
+            idx += len(fragments) - 1
+            ncells += len(fragments) - 1
+            queue.extend(fragments)
     return cells
 
 
@@ -88,14 +108,10 @@ def _encode_rows(out: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def canonical_form(d: BitDigraph) -> BitDigraph:
-    """The canonically relabelled copy of d."""
-    n = d.order
-    if n == 0:
-        return d
-    out = d.out
-    inn = d.in_masks()
-
+def _search(out: Sequence[int], inn: Sequence[int], initial: list[int]) -> tuple[int, ...]:
+    """Least leaf rows of the search tree below the equitable, non-discrete
+    partition `initial`."""
+    n = len(out)
     best_rows: Optional[tuple[int, ...]] = None
     best_perm: Optional[tuple[int, ...]] = None
     # deduplicated generators of the automorphism group found so far,
@@ -103,26 +119,17 @@ def canonical_form(d: BitDigraph) -> BitDigraph:
     generators: list[tuple[int, ...]] = []
     generator_set: set[tuple[int, ...]] = set()
 
-    def homogeneous(cells: list[list[int]]) -> bool:
+    def homogeneous(cells: list[int]) -> bool:
         """True when arcs depend only on the cells of their endpoints, so
         every ordering refining the partition yields the same code."""
-        masks = []
-        for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
-        for ci, cell in enumerate(cells):
-            k = len(cell)
-            if k > 1:
-                internal = sum((out[v] & masks[ci]).bit_count() for v in cell)
-                if internal not in (0, k * (k - 1)):
-                    return False
-            for cj, other in enumerate(cells):
-                if ci == cj or (len(cell) == 1 and len(other) == 1):
+        for source in cells:
+            k = source.bit_count()
+            for sink in cells:
+                if k == 1 and not sink & (sink - 1):
                     continue
-                cross = sum((out[v] & masks[cj]).bit_count() for v in cell)
-                if cross not in (0, k * len(other)):
+                arcs = sum((out[v] & sink).bit_count() for v in bits(source))
+                full = k * (k - 1) if sink == source else k * sink.bit_count()
+                if arcs not in (0, full):
                     return False
         return True
 
@@ -142,26 +149,22 @@ def canonical_form(d: BitDigraph) -> BitDigraph:
                 generator_set.add(gen)
                 generators.append(gen)
 
-    def search(cells: list[list[int]], fixed: tuple[int, ...]) -> None:
-        target = None
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = idx
-                break
-        if target is None:
-            record_leaf(tuple(cell[0] for cell in cells))
+    def search(cells: list[int], fixed: tuple[int, ...]) -> None:
+        if len(cells) == n:
+            record_leaf(tuple(cell.bit_length() - 1 for cell in cells))
             return
 
         if homogeneous(cells):
             # every ordering below this node is automorphic; one leaf decides
-            record_leaf(tuple(v for cell in cells for v in sorted(cell)))
+            record_leaf(tuple(v for cell in cells for v in bits(cell)))
             return
 
+        target = next(idx for idx, cell in enumerate(cells) if cell & (cell - 1))
         cell = cells[target]
         orbits = _OrbitUnion(n)
         processed = 0
         tried: list[int] = []
-        for v in cell:
+        for v in bits(cell):
             # fold any newly discovered automorphisms that fix the current
             # individualization path into the orbit partition
             while processed < len(generators):
@@ -175,30 +178,39 @@ def canonical_form(d: BitDigraph) -> BitDigraph:
             if any(orbits.find(v) == orbits.find(w) for w in tried):
                 continue
             tried.append(v)
-            child = (
-                [list(c) for c in cells[:target]]
-                + [[v], [w for w in cell if w != v]]
-                + [list(c) for c in cells[target + 1 :]]
-            )
-            search(_refine(out, inn, child), fixed + (v,))
+            child = cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1 :]
+            search(_refine(out, inn, child, [1 << v]), fixed + (v,))
 
-    initial = _refine(out, inn, [list(range(n))])
     search(initial, ())
     assert best_rows is not None
-    return BitDigraph(n, list(best_rows))
+    return best_rows
 
 
-def canonical_label(d: BitDigraph) -> bytes:
-    """Canonical byte string: equal for two digraphs iff they are isomorphic.
+def canonical_label(d: BitDigraph) -> tuple[int, ...]:
+    """Canonical out-rows: equal for two digraphs iff they are isomorphic.
 
-    The string is the digraph6 encoding of the canonical form, so it can be
-    decoded back into a concrete representative.
+    The rows are those of the canonical form, so `BitDigraph(len(label),
+    list(label))` is a concrete representative of the class.  For digraph6
+    text use `encode_digraph6(canonical_form(d))`.
     """
-    return encode_digraph6(canonical_form(d)).encode("ascii")
+    n = d.order
+    if n == 0:
+        return ()
+    out = d.out
+    inn = d.in_masks()
+    everything = (1 << n) - 1
+    cells = _refine(out, inn, [everything], [everything])
+    if len(cells) == n:
+        return _encode_rows(out, [cell.bit_length() - 1 for cell in cells])
+    return _search(out, inn, cells)
+
+
+def canonical_form(d: BitDigraph) -> BitDigraph:
+    """The canonically relabelled copy of d."""
+    return BitDigraph(d.order, list(canonical_label(d)))
 
 
 def are_isomorphic(d1: BitDigraph, d2: BitDigraph) -> bool:
     if d1.order != d2.order or d1.arc_count() != d2.arc_count():
         return False
-    return canonical_form(d1).out == canonical_form(d2).out
-
+    return canonical_label(d1) == canonical_label(d2)

@@ -139,6 +139,7 @@ def _cmd_dr_compute(args) -> int:
         "certificate": cert_line,
         "certificate_order": result.certificate.order if result.certificate else None,
         "budget_hit": result.budget_hit,
+        "budget_reason": result.budget_reason,
         "level_counts": list(result.level_counts),
     }
     _emit(_report("dr compute", params, payload, started, nodes=result.nodes))

@@ -165,9 +165,12 @@ class BitDigraph:
 
     def in_masks(self) -> tuple[int, ...]:
         inn = [0] * self.order
-        for u in range(self.order):
-            for v in bits(self.out[u]):
-                inn[v] |= 1 << u
+        for u, row in enumerate(self.out):
+            bit = 1 << u
+            while row:
+                low = row & -row
+                inn[low.bit_length() - 1] |= bit
+                row ^= low
         return tuple(inn)
 
     def nonadjacency_masks(self) -> tuple[int, ...]:

@@ -99,12 +99,16 @@ class DrResult:
     certificate: Optional[DrCertificate]
     proof_method: str  # exhaustive | bound-table | recurrence
     nodes: int = 0
-    budget_hit: bool = False
+    budget_reason: Optional[str] = None  # nodes | time, the limit hit first
     level_counts: tuple[int, ...] = ()
 
     @property
     def value(self) -> Optional[int]:
         return self.lower if self.exact else None
+
+    @property
+    def budget_hit(self) -> bool:
+        return self.budget_reason is not None
 
 
 def check_counterexample(d: BitDigraph, n: int, m: int) -> DrCertificate:
@@ -336,27 +340,37 @@ class EnumerationOutcome:
 
 class _Budget:
     """Node and wall-clock limits shared by the phases of one search; the
-    deadline is fixed at construction and `hit` stays set once passed."""
+    deadline is fixed at construction.  `reason` records the limit that was
+    hit first, "nodes" or "time", and stays set; None while neither is."""
 
     def __init__(self, node_budget: Optional[int], time_budget: Optional[float]):
         self.node_budget = node_budget
         self.deadline = time.monotonic() + time_budget if time_budget else None
         self.nodes = 0
-        self.hit = False
+        self.reason: Optional[str] = None
+
+    @property
+    def hit(self) -> bool:
+        return self.reason is not None
 
     def spend(self, k: int = 1) -> bool:
         self.nodes += k
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            self.hit = True
-        if self.deadline is not None and self.nodes % 256 == 0 and time.monotonic() > self.deadline:
-            self.hit = True
-        return not self.hit
+        if self.reason is None:
+            if self.node_budget is not None and self.nodes > self.node_budget:
+                self.reason = "nodes"
+            elif (
+                self.deadline is not None
+                and self.nodes % 256 == 0
+                and time.monotonic() > self.deadline
+            ):
+                self.reason = "time"
+        return self.reason is None
 
     def out_of_time(self) -> bool:
         """Check the clock without spending a node; True once the budget is hit."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.hit = True
-        return self.hit
+        if self.reason is None and self.deadline is not None and time.monotonic() > self.deadline:
+            self.reason = "time"
+        return self.reason is not None
 
 
 def enumerate_good_classes(
@@ -386,7 +400,7 @@ def enumerate_good_classes(
 
     order = 1
     while order < max_order and not budget.hit:
-        seen: set[bytes] = set()
+        seen: set[tuple[int, ...]] = set()
         next_level: list[BitDigraph] = []
         for parent in levels[-1]:
             for child in _good_children(parent, trans_n, indep_m):
@@ -715,6 +729,6 @@ def search_dr(
         certificate=best_cert,
         proof_method=proof,
         nodes=budget.nodes,
-        budget_hit=budget.hit,
+        budget_reason=budget.reason,
         level_counts=tuple(len(level) for level in outcome.levels),
     )

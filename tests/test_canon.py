@@ -1,10 +1,10 @@
 import random
 import time
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
-from transversal_lab.canon import are_isomorphic, canonical_form, canonical_label
-from transversal_lab.codec import decode_digraph6
+from transversal_lab.canon import _refine, are_isomorphic, canonical_form, canonical_label
 from transversal_lab.graphs import BitDigraph
+from transversal_lab.ramsey import circulant_digraph
 
 from oracles import all_labelled_digraphs, naive_isomorphic
 
@@ -33,7 +33,8 @@ def test_label_decodes_to_isomorphic_copy():
             if i != j and rng.random() < 0.4
         ]
         d = BitDigraph.from_arcs(order, arcs)
-        rep = decode_digraph6(canonical_label(d).decode())
+        label = canonical_label(d)
+        rep = BitDigraph(len(label), list(label))
         assert naive_isomorphic(d, rep)
 
 
@@ -50,7 +51,7 @@ def test_single_arc_state_digraphs_on_3_vertices():
             if s & 2:
                 out[j] |= 1 << i
         digraphs.append(BitDigraph(3, out))
-    by_label: dict[bytes, list[BitDigraph]] = {}
+    by_label: dict[tuple[int, ...], list[BitDigraph]] = {}
     for d in digraphs:
         by_label.setdefault(canonical_label(d), []).append(d)
     assert len(by_label) == 7
@@ -133,3 +134,62 @@ def test_canonical_form_is_idempotent():
         d = BitDigraph.from_arcs(6, arcs)
         c = canonical_form(d)
         assert canonical_form(c).out == c.out
+
+
+def test_label_is_the_canonical_form_rows():
+    rng = random.Random(31)
+    for _ in range(200):
+        order = rng.randint(1, 8)
+        p = rng.choice((0.2, 0.5, 0.8))
+        arcs = [
+            (i, j)
+            for i in range(order)
+            for j in range(order)
+            if i != j and rng.random() < p
+        ]
+        d = BitDigraph.from_arcs(order, arcs)
+        assert canonical_label(d) == canonical_form(d).out
+
+
+def circulants(q: int) -> list[BitDigraph]:
+    """Every circulant digraph on Z_q, one per difference set."""
+    return [
+        circulant_digraph(q, diffs)
+        for k in range(q)
+        for diffs in combinations(range(1, q), k)
+    ]
+
+
+def test_circulants_take_the_search_path():
+    # translation is transitive on the vertices, so refinement of the unit
+    # partition cannot split it and the backtracking search must decide
+    for q in range(2, 10):
+        for d in circulants(q):
+            everything = (1 << q) - 1
+            cells = _refine(d.out, d.in_masks(), [everything], [everything])
+            assert cells == [everything]
+
+
+def test_circulant_labels_invariant_under_relabelling():
+    rng = random.Random(41)
+    for q in range(1, 10):
+        for d in circulants(q):
+            base = canonical_label(d)
+            for _ in range(20):
+                p = list(range(q))
+                rng.shuffle(p)
+                assert canonical_label(d.relabel(p)) == base
+
+
+def test_circulant_label_partition_matches_isomorphism():
+    for q in range(1, 7):
+        by_label: dict[tuple[int, ...], list[BitDigraph]] = {}
+        for d in circulants(q):
+            by_label.setdefault(canonical_label(d), []).append(d)
+        reps = [group[0] for group in by_label.values()]
+        for group in by_label.values():
+            for d in group[1:]:
+                assert naive_isomorphic(group[0], d)
+        for i, d1 in enumerate(reps):
+            for d2 in reps[i + 1 :]:
+                assert not naive_isomorphic(d1, d2)

@@ -58,6 +58,21 @@ class TestDrCommand:
         assert rep["result"]["value"] == 9
         assert rep["result"]["certificate_order"] == 8
 
+    def test_compute_reports_budget_reason(self, capsys, tmp_path):
+        code, rep = run_json(
+            capsys, "dr", "compute", "--n", "3", "--m", "4", "--budget-nodes", "5000",
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert rep["result"]["budget_hit"] is True
+        assert rep["result"]["budget_reason"] == "nodes"
+        code, rep = run_json(
+            capsys, "dr", "compute", "--n", "3", "--m", "3",
+            "--cache-dir", str(tmp_path),
+        )
+        assert rep["result"]["budget_hit"] is False
+        assert rep["result"]["budget_reason"] is None
+
     def test_determinism_and_cache(self, capsys, tmp_path):
         args = ("dr", "compute", "--n", "3", "--m", "2", "--cache-dir", str(tmp_path))
         code1, rep1 = run_json(capsys, *args)

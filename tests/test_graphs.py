@@ -212,6 +212,18 @@ class TestIndependence:
             assert independence_number(g) == order - cover
 
 
+class TestBitDigraphRows:
+    @pytest.mark.parametrize("order", [0, 1, 7, 128])
+    def test_in_masks_transpose_the_arcs(self, order):
+        rng = random.Random(order)
+        for p in (0.0, 0.3, 1.0):
+            d = random_digraph(order, rng, p)
+            expect = [0] * order
+            for u, v in d.arcs():
+                expect[v] |= 1 << u
+            assert d.in_masks() == tuple(expect)
+
+
 class TestTransitiveSets:
     def test_directed_3_cycle(self):
         assert not has_transitive_set(C3, 3)

@@ -93,6 +93,14 @@ class TestSearchDr:
         assert res.certificate is not None
         assert res.certificate.order == res.lower - 1
 
+    def test_budget_reason_names_the_limit_hit(self):
+        res = search_dr(3, 4, node_budget=5_000)
+        assert res.budget_hit and res.budget_reason == "nodes"
+        res = search_dr(5, 2, time_budget=0.2)
+        assert res.budget_hit and res.budget_reason == "time"
+        res = search_dr(3, 3)
+        assert res.exact and not res.budget_hit and res.budget_reason is None
+
     def test_certified_lower_bound_sound(self):
         res = search_dr(3, 3, node_budget=500, probe=False)
         cert = res.certificate
