@@ -226,6 +226,7 @@ def _cmd_transversal_solve(args) -> int:
         "profile": list(res.profile),
         "nodes_explored": res.nodes,
         "exact": res.status != "budget",
+        "budget_reason": "nodes" if res.status == "budget" else None,
     }
     _emit(_report("transversal solve", params, payload, started, nodes=res.nodes))
     return EXIT_OK
@@ -319,6 +320,7 @@ def _cmd_ortho_search(args) -> int:
     payload = {
         "alpha_lower": len(res.family),
         "exact_over_pool": res.exact,
+        "budget_reason": None if res.exact else "nodes",
         "pool_size": len(pool),
         "family": res.family.to_json_obj(),
     }

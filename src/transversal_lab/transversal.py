@@ -7,6 +7,13 @@ independent vertices per chosen class in ascending order, discarding any
 candidate whose neighbourhood drops some chosen class's remaining
 independent capacity below l.  Status "none" is only reported after the
 whole space is exhausted.
+
+Each class's l-subsets are enumerated as bit masks by a depth-first walk
+that takes the lowest vertex first, which is the order of
+`itertools.combinations`.  A prefix with an edge is abandoned, but its
+completions still count as nodes, so node budgets and node counts are
+those of the plain subset-by-subset loop.  The capacity test is memoised
+per call on the mask it reads.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 from .constructions import PartitionedGraph, layered_from_digraph
@@ -22,11 +30,11 @@ from .graphs import (
     BitDigraph,
     UGraph,
     bits,
+    find_clique_in,
+    find_transitive_in,
     has_clique,
     has_independent_set,
-    has_transitive_set,
     is_independent,
-    mask_of,
 )
 
 
@@ -80,65 +88,98 @@ def find_transversal(
 
     Any valid witness is returned (no minimality guarantee); the search
     order is deterministic, so reruns reproduce the same witness.
+
+    `nodes` counts the ell-subsets of the chosen classes' available
+    vertices that the search reaches, independent or not, in the order
+    `itertools.combinations` lists them.  Subsets are built as bit masks,
+    lowest vertex first.  A prefix whose newest vertex is adjacent to an
+    earlier pick is abandoned: all comb(left, need - 1) of its completions
+    (left candidates above it, need - 1 vertices still to add) are
+    dependent, and are counted at once.  A budget that runs out inside
+    such a block stops the count at node_budget + 1, where a one-by-one
+    count stops, so budgets and `nodes` mean what a plain loop over
+    `combinations` makes them mean.
+
+    The capacity prune asks whether a later class still holds an
+    independent ell-set outside `forbidden`.  The answer depends only on
+    lmask = class_mask & ~forbidden, so it is memoised on lmask for the
+    call (classes are disjoint, so a nonzero lmask also names its class).
     """
     if m < 1 or ell < 1:
         raise ValueError("m and ell must be >= 1")
     g = pg.graph
+    adj = g.adj
     class_masks = pg.class_masks()
     r = len(class_masks)
-    nodes = 0
-
     if m > r:
         return TransversalResult("none", None, (0,) * r, 0)
 
-    def solve_subset(chosen_classes: tuple[int, ...]) -> Optional[int]:
-        """Search an independent set with >= ell vertices in each chosen
-        class; returns the chosen vertex mask or None."""
+    nodes = 0
+    capacity: dict[int, bool] = {}
+    targets: tuple[int, ...] = ()  # masks of the chosen classes
+    tails: list[tuple[int, ...]] = []  # tails[i] = targets[i + 1 :]
+
+    def place(idx: int, picked: int, forbidden: int) -> Optional[int]:
+        """Extend `picked` by ell vertices in each of targets[idx:]; returns
+        the full vertex mask or None.  `forbidden` is the union of the
+        neighbourhoods of the picks."""
+        if idx == m:
+            return picked
+        return pick(idx, picked, forbidden, targets[idx] & ~forbidden, ell, 0)
+
+    def pick(
+        idx: int, picked: int, forbidden: int, cand: int, need: int, nbhd: int
+    ) -> Optional[int]:
+        """Try, in lexicographic order, every way to add `need` vertices of
+        `cand` to this class's prefix; `nbhd` is the union of the prefix's
+        neighbourhoods."""
         nonlocal nodes
-
-        def place(class_idx: int, picked: int, forbidden: int) -> Optional[int]:
-            nonlocal nodes
-            if class_idx == len(chosen_classes):
-                return picked
-            cmask = class_masks[chosen_classes[class_idx]]
-            avail = cmask & ~forbidden
-            # pick exactly ell independent vertices of this class, ascending
-            for combo in combinations(list(bits(avail)), ell):
-                nodes += 1
+        left = cand.bit_count()
+        while left >= need:
+            low = cand & -cand
+            cand ^= low
+            left -= 1
+            if low & nbhd:
+                nodes += comb(left, need - 1)
                 if node_budget is not None and nodes > node_budget:
+                    nodes = node_budget + 1  # where a one-by-one count stops
                     raise BudgetExceeded("transversal node budget exhausted")
-                combo_mask = mask_of(combo)
-                if not is_independent(g, combo):
-                    continue
-                nbhd = 0
-                for v in combo:
-                    nbhd |= g.adj[v]
-                new_forbidden = forbidden | nbhd | combo_mask
-                # capacity prune: every later class must still hold an
-                # independent ell-set avoiding everything picked so far
-                feasible = True
-                for later in chosen_classes[class_idx + 1 :]:
-                    lmask = class_masks[later] & ~new_forbidden
-                    if lmask.bit_count() < ell or not has_independent_set(
-                        g, ell, within=lmask
-                    ):
-                        feasible = False
-                        break
-                if not feasible:
-                    continue
-                result = place(class_idx + 1, picked | combo_mask, new_forbidden)
-                if result is not None:
-                    return result
-            return None
-
-        return place(0, 0, 0)
+                continue
+            v = low.bit_length() - 1
+            if need > 1:
+                found = pick(idx, picked | low, forbidden, cand, need - 1, nbhd | adj[v])
+                if found is not None:
+                    return found
+                continue
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise BudgetExceeded("transversal node budget exhausted")
+            new_forbidden = forbidden | nbhd | adj[v]
+            # capacity prune: every later class must still hold an
+            # independent ell-set avoiding everything picked so far
+            for later in tails[idx]:
+                lmask = later & ~new_forbidden
+                if lmask.bit_count() < ell:
+                    break
+                fits = capacity.get(lmask)
+                if fits is None:
+                    fits = capacity[lmask] = has_independent_set(g, ell, within=lmask)
+                if not fits:
+                    break
+            else:
+                found = place(idx + 1, picked | low, new_forbidden)
+                if found is not None:
+                    return found
+        return None
 
     try:
         for chosen in combinations(range(r), m):
+            targets = tuple(class_masks[c] for c in chosen)
             # quick reject: some chosen class too small
-            if any(class_masks[c].bit_count() < ell for c in chosen):
+            if any(t.bit_count() < ell for t in targets):
                 continue
-            picked = solve_subset(chosen)
+            tails = [targets[i + 1 :] for i in range(m)]
+            picked = place(0, 0, 0)
             if picked is not None:
                 witness = frozenset(bits(picked))
                 profile = tuple(len(witness & c) for c in pg.classes)
@@ -177,12 +218,13 @@ def _random_transitive_free_digraph(r: int, n: int, rng: random.Random) -> BitDi
     """Random digraph on r vertices with no transitive n-set, by rejection
     of offending arcs during random insertion."""
     out = [0] * r
+    full = (1 << r) - 1
     pairs = [(i, j) for i in range(r) for j in range(r) if i != j]
     rng.shuffle(pairs)
     for i, j in pairs:
         if rng.random() < 0.6:
             out[i] |= 1 << j
-            if has_transitive_set(BitDigraph(r, out), n):
+            if find_transitive_in(out, full, n) is not None:
                 out[i] &= ~(1 << j)
     return BitDigraph(r, out)
 
@@ -208,6 +250,8 @@ def estimate_N(
     K_n-free while removing cross-class non-edges (shrinking the solver's
     freedom).  Absence of a counterexample is an observation, not an error.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if strategy not in ("random", "local-search"):
         raise ValueError("strategy must be 'random' or 'local-search'")
     rng = random.Random(rng_seed)
@@ -231,7 +275,14 @@ def _harden_candidate(
     pg: PartitionedGraph, n: int, rng: random.Random, flips: int
 ) -> PartitionedGraph:
     """Edge-flip local search: add random cross-class edges that keep the
-    graph K_n-free (each added edge can only remove independent sets)."""
+    graph K_n-free (each added edge can only remove independent sets).
+
+    Lemma: if G is K_n-free, then G + uv holds a K_n iff the common
+    neighbourhood adj[u] & adj[v] holds a K_{n-2}, since any new K_n must
+    use the new edge.  So each flip is one clique search on that mask.
+    The input must be K_n-free, as estimate_N's layered blowups are; for
+    n <= 2 the search finds the empty clique and every flip is refused.
+    """
     g = pg.graph
     adj = list(g.adj)
     order = g.order
@@ -244,9 +295,7 @@ def _harden_candidate(
         v = rng.randrange(order)
         if u == v or class_of[u] == class_of[v] or (adj[u] >> v) & 1:
             continue
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        if has_clique(UGraph(order, adj), n):
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
+        if find_clique_in(adj, adj[u] & adj[v], n - 2) is None:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
     return PartitionedGraph(UGraph(order, adj), pg.classes)

@@ -9,7 +9,14 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from transversal_lab.graphs import BitDigraph, UGraph
+from transversal_lab.graphs import (
+    BitDigraph,
+    UGraph,
+    bits,
+    has_independent_set,
+    is_independent,
+    mask_of,
+)
 
 
 def naive_has_transitive(d: BitDigraph, n: int) -> bool:
@@ -115,6 +122,65 @@ def naive_transversal_exists(pg, m: int, ell: int) -> bool:
             ):
                 return True
     return False
+
+
+def reference_transversal(pg, m: int, ell: int, node_budget=None):
+    """The plain transversal branch and bound, one node per subset.
+
+    Same search order as `find_transversal`: class subsets ascending, then
+    each class's ell-subsets of its available vertices as `combinations`
+    yields them, each one counted as a node before it is tested with
+    `is_independent`, and an uncached capacity check for every later class.
+    Returns (status, witness, profile, nodes, dependent), where `dependent`
+    counts the subsets rejected as not independent.
+    """
+    g = pg.graph
+    class_masks = pg.class_masks()
+    r = len(class_masks)
+    nodes = dependent = 0
+    if m > r:
+        return "none", None, (0,) * r, 0, 0
+
+    class Exhausted(Exception):
+        pass
+
+    def place(chosen, idx, picked, forbidden):
+        nonlocal nodes, dependent
+        if idx == len(chosen):
+            return picked
+        avail = class_masks[chosen[idx]] & ~forbidden
+        for combo in combinations(list(bits(avail)), ell):
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise Exhausted
+            if not is_independent(g, combo):
+                dependent += 1
+                continue
+            new_forbidden = forbidden | mask_of(combo)
+            for v in combo:
+                new_forbidden |= g.adj[v]
+            if all(
+                (class_masks[later] & ~new_forbidden).bit_count() >= ell
+                and has_independent_set(g, ell, within=class_masks[later] & ~new_forbidden)
+                for later in chosen[idx + 1 :]
+            ):
+                found = place(chosen, idx + 1, picked | mask_of(combo), new_forbidden)
+                if found is not None:
+                    return found
+        return None
+
+    try:
+        for chosen in combinations(range(r), m):
+            if any(class_masks[c].bit_count() < ell for c in chosen):
+                continue
+            picked = place(chosen, 0, 0, 0)
+            if picked is not None:
+                witness = frozenset(bits(picked))
+                profile = tuple(len(witness & c) for c in pg.classes)
+                return "found", witness, profile, nodes, dependent
+    except Exhausted:
+        return "budget", None, (0,) * r, nodes, dependent
+    return "none", None, (0,) * r, nodes, dependent
 
 
 def naive_half_graph_order(g: UGraph, a_side, b_side) -> int:

@@ -176,6 +176,24 @@ class TestSolverCommands:
         )
         assert rep["result"]["status"] == "found"
 
+    def test_transversal_solve_reports_budget_reason(self, capsys, tmp_path):
+        t = tensor(UGraph.complete(3), UGraph.empty(4))
+        classes = [[4 * f + 2 * h, 4 * f + 2 * h + 1] for f in range(3) for h in range(2)]
+        gpath = tmp_path / "t.g6"
+        cpath = tmp_path / "t.json"
+        gpath.write_text(encode_graph6(t) + "\n")
+        cpath.write_text(json.dumps({"classes": classes}))
+        args = ("transversal", "solve", "--graph", str(gpath), "--classes", str(cpath),
+                "--m", "3", "--ell", "1")
+        code, rep = run_json(capsys, *args, "--budget-nodes", "3")
+        assert code == 0
+        assert rep["result"]["status"] == "budget"
+        assert rep["result"]["exact"] is False
+        assert rep["result"]["budget_reason"] == "nodes"
+        code, rep = run_json(capsys, *args)
+        assert rep["result"]["status"] == "none"
+        assert rep["result"]["budget_reason"] is None
+
     def test_embed_halforder_on_half_graph(self, capsys, tmp_path):
         pg = half_graph(5)
         gpath = tmp_path / "h.g6"
@@ -221,6 +239,16 @@ class TestSolverCommands:
         assert code == 0
         assert rep["result"]["alpha_lower"] == 4
         assert rep["result"]["exact_over_pool"] is True
+
+    def test_ortho_search_reports_budget_reason(self, capsys):
+        args = ("ortho", "search", "--dim", "2", "--m", "2", "--pool-height", "3")
+        code, rep = run_json(capsys, *args, "--budget-nodes", "2")
+        assert code == 0
+        assert rep["result"]["exact_over_pool"] is False
+        assert rep["result"]["budget_reason"] == "nodes"
+        code, rep = run_json(capsys, *args)
+        assert rep["result"]["exact_over_pool"] is True
+        assert rep["result"]["budget_reason"] is None
 
 
 class TestExitCodes:

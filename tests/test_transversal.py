@@ -3,11 +3,22 @@ import random
 import pytest
 
 from transversal_lab.constructions import PartitionedGraph, layered_from_digraph, tensor
-from transversal_lab.graphs import UGraph, has_clique, is_independent
+from transversal_lab.graphs import BitDigraph, UGraph, has_clique, is_independent
 from transversal_lab.ramsey import circulant_digraph
-from transversal_lab.transversal import estimate_N, find_transversal, max_profile
+from transversal_lab.transversal import (
+    _harden_candidate,
+    _random_transitive_free_digraph,
+    estimate_N,
+    find_transversal,
+    max_profile,
+)
 
-from oracles import naive_transversal_exists
+from oracles import (
+    naive_has_clique,
+    naive_has_transitive,
+    naive_transversal_exists,
+    reference_transversal,
+)
 
 
 def split_fibers(graph: UGraph, fibers: int, fiber_size: int, parts: int) -> PartitionedGraph:
@@ -91,6 +102,49 @@ class TestOracleEquivalence:
                 assert sum(1 for h in got.profile if h >= ell) >= m
 
 
+def solve(pg, m, ell, node_budget=None):
+    res = find_transversal(pg, m, ell, node_budget=node_budget)
+    return res.status, res.witness, res.profile, res.nodes
+
+
+class TestReferenceEquivalence:
+    """The mask walk, with its counted skip of dependent subsets and its
+    capacity memo, against the plain subset-by-subset loop: the same
+    status, witness, profile and node count."""
+
+    def test_400_random_instances(self):
+        rng = random.Random(61)
+        statuses = set()
+        skipped = 0
+        for _ in range(400):
+            pg = random_partitioned(rng)
+            m = rng.randint(1, pg.num_classes)
+            ell = rng.randint(1, 3)
+            want = reference_transversal(pg, m, ell)
+            assert solve(pg, m, ell) == want[:4]
+            statuses.add(want[0])
+            skipped += want[4] > 0
+        assert statuses == {"found", "none"}
+        # edges inside classes: the counted skip runs on many instances
+        assert skipped >= 100
+
+    def test_every_node_budget(self):
+        rng = random.Random(17)
+        checked = 0
+        while checked < 10:
+            pg = random_partitioned(rng, max_order=12, max_classes=3)
+            m = rng.randint(1, pg.num_classes)
+            ell = rng.randint(2, 3)
+            free = reference_transversal(pg, m, ell)
+            if not free[4] or free[3] > 150:
+                continue
+            checked += 1
+            for budget in range(1, free[3] + 2):
+                want = reference_transversal(pg, m, ell, node_budget=budget)
+                assert solve(pg, m, ell, node_budget=budget) == want[:4]
+                assert want[0] == ("budget" if budget < free[3] else free[0])
+
+
 class TestMonotonicity:
     def test_found_is_downward_closed(self):
         rng = random.Random(5)
@@ -156,6 +210,69 @@ class TestEstimateN:
             assert find_transversal(pg, 2, 2).status == "none"
             assert est.implies_n_above == 2
 
+    def test_n_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_N(0, 2, 1, 1, r=4)
+
     def test_bad_strategy_rejected(self):
         with pytest.raises(ValueError):
             estimate_N(3, 2, 1, 1, r=4, strategy="quantum")
+
+
+def reference_transitive_free_digraph(r, n, rng):
+    """The generator with a brute-force transitive-set test per arc."""
+    out = [0] * r
+    pairs = [(i, j) for i in range(r) for j in range(r) if i != j]
+    rng.shuffle(pairs)
+    for i, j in pairs:
+        if rng.random() < 0.6:
+            out[i] |= 1 << j
+            if naive_has_transitive(BitDigraph(r, out), n):
+                out[i] &= ~(1 << j)
+    return tuple(out)
+
+
+def reference_harden(pg, n, rng, flips):
+    """Edge-flip hardening with a brute-force clique test of the whole
+    graph after every flip."""
+    order = pg.graph.order
+    adj = list(pg.graph.adj)
+    class_of = {v: idx for idx, cls in enumerate(pg.classes) for v in cls}
+    for _ in range(flips):
+        u = rng.randrange(order)
+        v = rng.randrange(order)
+        if u == v or class_of[u] == class_of[v] or (adj[u] >> v) & 1:
+            continue
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        if naive_has_clique(UGraph(order, adj), n):
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+    return tuple(adj)
+
+
+class TestEstimateGenerators:
+    """The row-level generators behind estimate_N against per-step
+    brute-force references: same digraphs, same hardened graphs, same
+    random stream afterwards."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_match_brute_force_references(self, n):
+        added = 0
+        for seed in range(12):
+            r = 3 + seed % 3
+            depth = 2 + seed % 2
+            fast, slow = random.Random(seed), random.Random(seed)
+            d = _random_transitive_free_digraph(r, n, fast)
+            assert d.out == reference_transitive_free_digraph(r, n, slow)
+            pg = layered_from_digraph(d, depth)
+            flips = 4 * pg.graph.order
+            hard = _harden_candidate(pg, n, fast, flips)
+            assert hard.graph.adj == reference_harden(pg, n, slow, flips)
+            assert fast.random() == slow.random()
+            assert hard.classes == pg.classes
+            if n >= 2:
+                assert not has_clique(hard.graph, n)
+            added += hard.graph.edge_count() - pg.graph.edge_count()
+        # positive control: flips are accepted once K_n-freeness allows
+        assert (added > 0) == (n >= 3)
