@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .cache import CertificateCache, resolve_cache_dir
 from .codec import decode_digraph6, decode_graph6, encode_digraph6, encode_graph6
 from .constructions import (
     PartitionedGraph,
@@ -128,7 +127,6 @@ def _cmd_dr_compute(args) -> int:
     if result.certificate is not None:
         if not result.certificate.reverify():
             raise VerificationError("certificate failed re-verification before emission")
-        CertificateCache(resolve_cache_dir(args.cache_dir)).store(result.certificate)
         cert_line = encode_digraph6(result.certificate.digraph)
     payload = {
         "lower": result.lower,
@@ -349,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--max-order", type=int, default=None)
     p_compute.add_argument("--budget-nodes", type=int, default=5_000_000)
     p_compute.add_argument("--budget-secs", type=float, default=None)
-    p_compute.add_argument("--cache-dir", default=None)
     p_compute.add_argument("--no-probe", action="store_true")
     p_compute.set_defaults(func=_cmd_dr_compute)
     p_bounds = dr_sub.add_parser("bounds", help="bound dr(n, m) without searching")

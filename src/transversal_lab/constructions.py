@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CapExceeded
 from .graphs import BitDigraph, UGraph, bits, find_clique_in, has_clique, mask_of
@@ -176,6 +176,28 @@ def shift_graph(n: int, big_n: int, *, vertex_cap: int = 100000) -> UGraph:
 # ---------------------------------------------------------------------------
 
 
+def _extension_pairs(vertices: Sequence[int], pair_cap: int) -> Iterator[tuple[int, int]]:
+    """Masks (A, B) of the disjoint pairs over `vertices` with |A u B| <=
+    pair_cap, by size of the union, then the union and A in lexicographic
+    order."""
+    for size in range(pair_cap + 1):
+        for union in combinations(vertices, size):
+            umask = mask_of(union)
+            for asize in range(size + 1):
+                for aset in combinations(union, asize):
+                    amask = mask_of(aset)
+                    yield amask, umask & ~amask
+
+
+def _has_extension_witness(adj: Sequence[int], amask: int, bmask: int) -> bool:
+    """Some vertex outside A u B avoids A and dominates B."""
+    exclude = amask | bmask
+    return any(
+        not (1 << v) & exclude and row & amask == 0 and row & bmask == bmask
+        for v, row in enumerate(adj)
+    )
+
+
 def henson_approx(
     n: int,
     rounds: int,
@@ -208,29 +230,13 @@ def henson_approx(
     rng = random.Random(rng_seed) if rng_seed is not None else None
 
     for _ in range(rounds):
-        base = len(adj)
-        pairs = []
-        for size in range(pair_cap + 1):
-            for union in combinations(range(base), size):
-                for asize in range(size + 1):
-                    for aset in combinations(union, asize):
-                        amask = mask_of(aset)
-                        bmask = mask_of(union) & ~amask
-                        pairs.append((amask, bmask))
+        pairs = list(_extension_pairs(range(len(adj)), pair_cap))
         if rng is not None:
             rng.shuffle(pairs)
         for amask, bmask in pairs:
             if find_clique_in(adj, bmask, n - 1) is not None:
                 continue
-            exclude = amask | bmask
-            satisfied = False
-            for v in range(len(adj)):
-                if (1 << v) & exclude:
-                    continue
-                if adj[v] & amask == 0 and adj[v] & bmask == bmask:
-                    satisfied = True
-                    break
-            if satisfied:
+            if _has_extension_witness(adj, amask, bmask):
                 continue
             if len(adj) >= vertex_budget:
                 raise CapExceeded(f"vertex budget {vertex_budget} hit")
@@ -247,23 +253,11 @@ def extension_property_holds(
     """Exhaustively check the K_n-free extension property over a vertex set:
     every disjoint (A, B) with |A u B| <= pair_cap and B K_{n-1}-free has a
     witness vertex in g avoiding A and dominating B."""
-    base = sorted(base_vertices)
-    for size in range(pair_cap + 1):
-        for union in combinations(base, size):
-            for asize in range(size + 1):
-                for aset in combinations(union, asize):
-                    amask = mask_of(aset)
-                    bmask = mask_of(union) & ~amask
-                    if find_clique_in(g.adj, bmask, n - 1) is not None:
-                        continue
-                    exclude = amask | bmask
-                    if not any(
-                        g.adj[v] & amask == 0 and g.adj[v] & bmask == bmask
-                        for v in range(g.order)
-                        if not (1 << v) & exclude
-                    ):
-                        return False
-    return True
+    return all(
+        find_clique_in(g.adj, bmask, n - 1) is not None
+        or _has_extension_witness(g.adj, amask, bmask)
+        for amask, bmask in _extension_pairs(sorted(base_vertices), pair_cap)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,5 @@ class NotACounterexample(TransversalLabError):
         self.witness = witness
 
 
-class CacheCorrupt(TransversalLabError):
-    """A cached certificate failed re-verification on load."""
-
-
 class VerificationError(TransversalLabError):
     """A result failed its re-verification predicate before emission."""

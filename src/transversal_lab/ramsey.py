@@ -51,6 +51,7 @@ from .canon import canonical_label
 from .errors import NotACounterexample, VerificationError
 from .graphs import (
     BitDigraph,
+    bits,
     count_cliques_in,
     digraph_independent,
     find_clique_in,
@@ -67,17 +68,15 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class DrCertificate:
-    """A verified counterexample digraph for (n, m).
-
-    When both flags are true the digraph has no transitive n-set and no
+    """A counterexample digraph for (n, m): no transitive n-set and no
     independent m-set, establishing dr(n, m) >= digraph.order + 1.
+
+    Built by check_counterexample; reverify() checks it again.
     """
 
     n: int
     m: int
     digraph: BitDigraph
-    verified_no_transitive: bool
-    verified_no_independent: bool
 
     @property
     def order(self) -> int:
@@ -124,7 +123,7 @@ def check_counterexample(d: BitDigraph, n: int, m: int) -> DrCertificate:
     w = find_digraph_independent_set(d, m)
     if w is not None:
         raise NotACounterexample("independent", w)
-    return DrCertificate(n, m, d, True, True)
+    return DrCertificate(n, m, d)
 
 
 # ---------------------------------------------------------------------------
@@ -485,27 +484,15 @@ def probe_circulants(
     return None
 
 
-def _annealing_energy(out: list[int], n_vertices: int, m: int) -> int:
+def _annealing_energy(d: BitDigraph, m: int) -> int:
     """Violation count of a single-arc digraph: transitive triples plus
     independent m-sets."""
-    inn = [0] * n_vertices
-    for u in range(n_vertices):
-        mask = out[u]
-        while mask:
-            low = mask & -mask
-            inn[low.bit_length() - 1] |= 1 << u
-            mask ^= low
+    inn = d.in_masks()
     energy = 0
-    for y in range(n_vertices):
-        mask = out[y]
-        while mask:
-            low = mask & -mask
-            z = low.bit_length() - 1
-            mask ^= low
+    for y, row in enumerate(d.out):
+        for z in bits(row):
             energy += (inn[y] & inn[z]).bit_count()
-    full = (1 << n_vertices) - 1
-    na = [full ^ (out[v] | inn[v] | (1 << v)) for v in range(n_vertices)]
-    return energy + count_cliques_in(na, full, m)
+    return energy + count_cliques_in(d.nonadjacency_masks(), (1 << d.order) - 1, m)
 
 
 class _AnnealState:
@@ -563,7 +550,7 @@ class _AnnealState:
         return count_cliques_in(self.na, cand, self.m - 2)
 
     def _full_energy(self) -> int:
-        return _annealing_energy(self.out, self.order, self.m)
+        return _annealing_energy(BitDigraph(self.order, self.out), self.m)
 
     def build_out(self) -> list[int]:
         return list(self.out)

@@ -27,20 +27,14 @@ def stripped(report):
 
 
 class TestDrCommand:
-    def test_compute_3_2(self, capsys, tmp_path):
-        code, rep = run_json(
-            capsys, "dr", "compute", "--n", "3", "--m", "2",
-            "--cache-dir", str(tmp_path),
-        )
+    def test_compute_3_2(self, capsys):
+        code, rep = run_json(capsys, "dr", "compute", "--n", "3", "--m", "2")
         assert code == 0
         assert rep["result"]["exact"] is True
         assert rep["result"]["value"] == 4
 
-    def test_compute_2_5(self, capsys, tmp_path):
-        code, rep = run_json(
-            capsys, "dr", "compute", "--n", "2", "--m", "5",
-            "--cache-dir", str(tmp_path),
-        )
+    def test_compute_2_5(self, capsys):
+        code, rep = run_json(capsys, "dr", "compute", "--n", "2", "--m", "5")
         assert code == 0
         assert rep["result"] == {
             **rep["result"],
@@ -48,33 +42,28 @@ class TestDrCommand:
             "value": 5,
         }
 
-    def test_compute_3_3(self, capsys, tmp_path):
-        code, rep = run_json(
-            capsys, "dr", "compute", "--n", "3", "--m", "3",
-            "--cache-dir", str(tmp_path),
-        )
+    def test_compute_3_3(self, capsys):
+        code, rep = run_json(capsys, "dr", "compute", "--n", "3", "--m", "3")
         assert code == 0
         assert rep["result"]["exact"] is True
         assert rep["result"]["value"] == 9
         assert rep["result"]["certificate_order"] == 8
 
-    def test_compute_reports_budget_reason(self, capsys, tmp_path):
+    def test_compute_reports_budget_reason(self, capsys):
         code, rep = run_json(
-            capsys, "dr", "compute", "--n", "3", "--m", "4", "--budget-nodes", "5000",
-            "--cache-dir", str(tmp_path),
+            capsys, "dr", "compute", "--n", "3", "--m", "4", "--budget-nodes", "5000"
         )
         assert code == 0
         assert rep["result"]["budget_hit"] is True
         assert rep["result"]["budget_reason"] == "nodes"
-        code, rep = run_json(
-            capsys, "dr", "compute", "--n", "3", "--m", "3",
-            "--cache-dir", str(tmp_path),
-        )
+        code, rep = run_json(capsys, "dr", "compute", "--n", "3", "--m", "3")
         assert rep["result"]["budget_hit"] is False
         assert rep["result"]["budget_reason"] is None
 
-    def test_determinism_and_cache(self, capsys, tmp_path):
-        args = ("dr", "compute", "--n", "3", "--m", "2", "--cache-dir", str(tmp_path))
+    def test_determinism_and_cache(self, capsys):
+        # a second run sees nothing of the first: no report or certificate
+        # is kept between runs
+        args = ("dr", "compute", "--n", "3", "--m", "2")
         code1, rep1 = run_json(capsys, *args)
         code2, rep2 = run_json(capsys, *args)
         assert code1 == code2 == 0
@@ -82,8 +71,13 @@ class TestDrCommand:
         r1.pop("nodes", None)
         r2.pop("nodes", None)
         assert r1 == r2
-        # only the re-verified certificate is stored; reports are never replayed
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["dr-3-2-3.cert"]
+
+    def test_compute_writes_no_files(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, rep = run_json(capsys, "dr", "compute", "--n", "3", "--m", "2")
+        assert code == 0
+        assert rep["result"]["certificate"] is not None
+        assert list(tmp_path.iterdir()) == []
 
     def test_bounds(self, capsys):
         code, rep = run_json(capsys, "dr", "bounds", "--n", "3", "--m", "4")
@@ -257,17 +251,16 @@ class TestExitCodes:
             main(["dr", "compute", "--n", "3"])  # missing --m
         assert exc.value.code == 2
 
-    def test_bad_value_is_2(self, capsys, tmp_path):
-        code, _ = run(
-            capsys, "dr", "compute", "--n", "0", "--m", "2",
-            "--cache-dir", str(tmp_path),
-        )
+    def test_removed_cache_dir_flag_is_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dr", "compute", "--n", "3", "--m", "2", "--cache-dir", "x"])
+        assert exc.value.code == 2
+
+    def test_bad_value_is_2(self, capsys):
+        code, _ = run(capsys, "dr", "compute", "--n", "0", "--m", "2")
         assert code == 2
 
-    def test_max_order_zero_is_2(self, capsys, tmp_path):
-        code = main([
-            "dr", "compute", "--n", "3", "--m", "3", "--max-order", "0",
-            "--cache-dir", str(tmp_path),
-        ])
+    def test_max_order_zero_is_2(self, capsys):
+        code = main(["dr", "compute", "--n", "3", "--m", "3", "--max-order", "0"])
         assert code == 2
         assert "max_order must be >= 1" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from transversal_lab.codec import encode_graph6
 from transversal_lab.constructions import (
     PartitionedGraph,
     complete_bipartite,
@@ -165,6 +166,15 @@ class TestHenson:
         a = henson_approx(3, 2, UGraph.empty(2), 42)
         b = henson_approx(3, 2, UGraph.empty(2), 42)
         assert a == b
+
+    def test_pinned_output(self):
+        # the shuffled and the ascending pair order each give one fixed graph
+        shuffled = henson_approx(3, 2, UGraph.empty(2), 42)
+        ascending = henson_approx(3, 2, UGraph.empty(2), None)
+        assert encode_graph6(shuffled) == "WKBDO__OCOI?U?K?W??G?D?BG??W?@W??w??L???w??S???"
+        assert encode_graph6(ascending) == (
+            "YQo?HAO`B?G_K?H?A_?W?o?BC?@O?Cg?@c??E??@o??E_??J???F????"
+        )
 
     def test_clique_seed_rejected(self):
         with pytest.raises(ValueError):

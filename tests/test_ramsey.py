@@ -29,7 +29,7 @@ TT3 = BitDigraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
 class TestCheckCounterexample:
     def test_three_cycle_certifies_dr_3_2(self):
         cert = check_counterexample(C3, 3, 2)
-        assert cert.verified_no_transitive and cert.verified_no_independent
+        assert cert.reverify()
         assert cert.order + 1 == 4
 
     def test_empty_digraph(self):

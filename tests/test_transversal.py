@@ -79,7 +79,11 @@ class TestFindTransversal:
     def test_budget_status(self):
         pg = random_partitioned(random.Random(0), max_order=16, max_classes=4)
         res = find_transversal(pg, 2, 2, node_budget=1)
-        assert res.status in ("budget", "found", "none")
+        assert (res.status, res.witness, res.nodes) == ("budget", None, 2)
+        res = find_transversal(pg, 2, 2, node_budget=2)
+        assert res.status == "found"
+        assert res.witness == frozenset({0, 1, 8, 12})
+        assert res.witness == find_transversal(pg, 2, 2).witness
 
     def test_m_larger_than_classes(self):
         pg = PartitionedGraph(UGraph.empty(2), (frozenset({0, 1}),))
