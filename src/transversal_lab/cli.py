@@ -255,8 +255,9 @@ def _cmd_embed_halforder(args) -> int:
         "exact": res.exact,
         "a_sequence": list(res.a_sequence),
         "b_sequence": list(res.b_sequence),
+        "budget_reason": res.budget_reason,
     }
-    _emit(_report("embed halforder", params, payload, started))
+    _emit(_report("embed halforder", params, payload, started, nodes=res.nodes))
     return EXIT_OK
 
 
@@ -279,6 +280,7 @@ def _cmd_embed_balanced(args) -> int:
         "left_images": list(out.report.left_images) if out.report else None,
         "right_images": list(out.report.right_images) if out.report else None,
         "side_assignment": list(out.report.side_assignment) if out.report else None,
+        "budget_reason": None if out.exact else "nodes",
     }
     _emit(_report("embed balanced", params, payload, started, nodes=out.nodes))
     return EXIT_OK

@@ -57,6 +57,8 @@ class HalfOrderResult:
     exact: bool
     a_sequence: tuple[int, ...]
     b_sequence: tuple[int, ...]
+    nodes: int = 0
+    budget_reason: Optional[str] = None  # "nodes" when the node budget ended the search
 
     def verify(self, g: UGraph) -> bool:
         k = self.order
@@ -182,7 +184,7 @@ def half_graph_order(
             best_seq = tuple(seq[:cert])
     a_seq = best_seq
     b_seq = _assign_b_sequence(g, a_seq, bmask) if best_k else ()
-    return HalfOrderResult(best_k, exact, a_seq, b_seq)
+    return HalfOrderResult(best_k, exact, a_seq, b_seq, nodes, "nodes" if budget_hit else None)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,11 @@ cannot reach at desk scale.  On top of that, for n = 3 a deterministic
 annealing walk over pair states hunts counterexamples at orders beyond
 the best circulant; 2-cycles cannot matter there, because a transitive
 triple needs all three of its pairs arced.  A triple with all three pairs
-arced and no 2-cycle is transitive unless it is a 3-cycle, so the walk
-counts the transitive triples through a pair from bit counts of the
-endpoints' rows.  Probe output is re-verified
+arced and no 2-cycle is transitive unless it is a 3-cycle, so one move
+loop prices a move from bit counts of the endpoints' out, in and
+non-adjacency rows: the common neighbours less the pair's 3-cycles, plus
+one independent-set count when the pair gains or loses adjacency.  The
+rows are local lists updated in place by XOR.  Probe output is re-verified
 by the generic predicates before use, so probe results carry the same
 trust as enumerated ones.
 """
@@ -495,85 +497,8 @@ def _annealing_energy(d: BitDigraph, m: int) -> int:
     return energy + count_cliques_in(d.nonadjacency_masks(), (1 << d.order) - 1, m)
 
 
-class _AnnealState:
-    """Pair-state digraph with incremental violation counting.
-
-    Pair k is the k-th pair (i, j), i < j, in lexicographic order; state 1
-    is the arc i -> j, state 2 the arc j -> i, state 0 no arc.  Flipping
-    one pair only touches the triples through it and the independent
-    m-sets containing both endpoints, so a move costs a few row operations
-    plus the (small) independent-set recount instead of a full rescan.
-    """
-
-    def __init__(self, order: int, m: int, states: list[int]):
-        self.order = order
-        self.m = m
-        self.pairs = [(i, j) for i in range(order) for j in range(i + 1, order)]
-        self.states = states
-        self.out = [0] * order
-        self.inn = [0] * order
-        full = (1 << order) - 1
-        self.na = [full ^ (1 << v) for v in range(order)]  # mutual non-adjacency
-        for k, s in enumerate(states):
-            if s:
-                self._toggle(k, s)
-        self.energy = self._full_energy()
-
-    def _toggle(self, k: int, s: int) -> None:
-        """Add the arc of state s > 0 to pair k, or remove it if present."""
-        i, j = self.pairs[k]
-        a, b = (i, j) if s == 1 else (j, i)
-        self.out[a] ^= 1 << b
-        self.inn[b] ^= 1 << a
-        self.na[i] ^= 1 << j
-        self.na[j] ^= 1 << i
-
-    def _triples_through(self, i: int, j: int, s: int) -> int:
-        """Transitive triples through pair {i, j} if it took state s.
-
-        A triple with all three pairs arced is transitive unless it is a
-        3-cycle, so with the arc a -> b these are the common neighbours w
-        of a and b less those closing the cycle a -> b -> w -> a.
-        """
-        if s == 0:
-            return 0
-        a, b = (i, j) if s == 1 else (j, i)
-        out, inn = self.out, self.inn
-        common = (out[a] | inn[a]) & (out[b] | inn[b])
-        return common.bit_count() - (out[b] & inn[a]).bit_count()
-
-    def _count_indep_through_pair(self, i: int, j: int) -> int:
-        """Independent m-sets containing the (currently non-adjacent)
-        pair {i, j}: independent (m-2)-subsets of their common
-        non-neighbourhood."""
-        cand = self.na[i] & self.na[j] & ~(1 << i) & ~(1 << j)
-        return count_cliques_in(self.na, cand, self.m - 2)
-
-    def _full_energy(self) -> int:
-        return _annealing_energy(BitDigraph(self.order, self.out), self.m)
-
-    def build_out(self) -> list[int]:
-        return list(self.out)
-
-    def flip_delta(self, k: int, new_state: int) -> int:
-        """Energy change of setting pair k to new_state."""
-        i, j = self.pairs[k]
-        old_state = self.states[k]
-        if old_state == new_state:
-            return 0
-        delta = self._triples_through(i, j, new_state) - self._triples_through(i, j, old_state)
-        if (old_state == 0) != (new_state == 0):
-            through = self._count_indep_through_pair(i, j)
-            delta += through if new_state == 0 else -through
-        return delta
-
-    def apply(self, k: int, new_state: int, delta: int) -> None:
-        if self.states[k]:
-            self._toggle(k, self.states[k])
-        if new_state:
-            self._toggle(k, new_state)
-        self.states[k] = new_state
-        self.energy += delta
+# the states a pair may move to from state 0 (none), 1 (i -> j), 2 (j -> i)
+_OTHER_STATES = ((1, 2), (0, 2), (0, 1))
 
 
 def probe_local_search(
@@ -592,35 +517,87 @@ def probe_local_search(
     energy is the violation count; a zero-energy state is a counterexample
     and is still re-verified by the caller.  Deterministic for a fixed
     seed schedule.
+
+    A move sets one pair {i, j} to another state and changes only the
+    triples through that pair and the independent m-sets holding both
+    endpoints.  A triple {i, j, w} with all three pairs arced is
+    transitive unless it is a 3-cycle, so with the arc a -> b the pair
+    has common - cycles(a, b) transitive triples, where common counts the
+    vertices adjacent to both endpoints and cycles(a, b) those w with
+    b -> w -> a.  Rows carry no self-loop, so the pair's own arc is among
+    neither count: both are the same before and after the move, and one
+    count serves the old and the new state.  Reversing the arc keeps the
+    pair adjacent, so common cancels and only the cycle counts differ.
+    When the pair gains or loses adjacency, the independent m-sets
+    through it are the independent (m-2)-sets of na[i] & na[j], which
+    holds neither endpoint since na[i] lacks i and na[j] lacks j.  The
+    incremental energy is checked against a full recount every 8,192
+    moves.
     """
     if m < 2:
         return None
-    n_pairs = order * (order - 1) // 2
+    pairs = [(i, j, 1 << i, 1 << j) for i in range(order) for j in range(i + 1, order)]
+    n_pairs = len(pairs)
+    full = (1 << order) - 1
     for seed in range(seeds):
         rng = random.Random(1_000_003 * m + 1009 * order + seed)
-        anneal = _AnnealState(order, m, [rng.randint(0, 2) for _ in range(n_pairs)])
+        states = [rng.randint(0, 2) for _ in range(n_pairs)]
+        out = [0] * order
+        inn = [0] * order
+        na = [full ^ (1 << v) for v in range(order)]  # mutual non-adjacency
+        for (i, j, bi, bj), s in zip(pairs, states):
+            if s == 1:
+                out[i] |= bj
+                inn[j] |= bi
+            elif s == 2:
+                out[j] |= bi
+                inn[i] |= bj
+            if s:
+                na[i] ^= bj
+                na[j] ^= bi
+        energy = _annealing_energy(BitDigraph(order, out), m)
         for it in range(iters):
-            if anneal.energy == 0:
+            if energy == 0:
                 break
             if budget is not None and not budget.spend():
                 return None
-            temperature = 3.0 * (1 - it / iters) + 0.05
             k = rng.randrange(n_pairs)
-            old = anneal.states[k]
-            new = rng.choice([s for s in (0, 1, 2) if s != old])
-            delta = anneal.flip_delta(k, new)
-            if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                anneal.apply(k, new, delta)
+            old = states[k]
+            new = rng.choice(_OTHER_STATES[old])
+            i, j, bi, bj = pairs[k]
+            if old and new:
+                # the arc reverses: only the 3-cycles through the pair change
+                cycles_ij = (out[j] & inn[i]).bit_count()
+                cycles_ji = (out[i] & inn[j]).bit_count()
+                delta = cycles_ij - cycles_ji if new == 2 else cycles_ji - cycles_ij
+            else:
+                triples = ((out[i] | inn[i]) & (out[j] | inn[j])).bit_count() - (
+                    out[j] & inn[i] if old == 1 or new == 1 else out[i] & inn[j]
+                ).bit_count()
+                through = count_cliques_in(na, na[i] & na[j], m - 2)
+                delta = triples - through if new else through - triples
+            if delta <= 0 or rng.random() < math.exp(-delta / (3.0 * (1 - it / iters) + 0.05)):
+                if old == 1 or new == 1:
+                    out[i] ^= bj
+                    inn[j] ^= bi
+                if old == 2 or new == 2:
+                    out[j] ^= bi
+                    inn[i] ^= bj
+                if not (old and new):
+                    na[i] ^= bj
+                    na[j] ^= bi
+                states[k] = new
+                energy += delta
             if it % 8192 == 8191:
                 # guard against delta drift; a mismatch here is a bug
-                full = anneal._full_energy()
-                if anneal.energy != full:
+                recount = _annealing_energy(BitDigraph(order, out), m)
+                if energy != recount:
                     raise VerificationError(
                         f"annealer energy drifted at move {it}: "
-                        f"incremental {anneal.energy}, recomputed {full}"
+                        f"incremental {energy}, recomputed {recount}"
                     )
-        if anneal.energy == 0:
-            digraph = BitDigraph(order, anneal.build_out())
+        if energy == 0:
+            digraph = BitDigraph(order, out)
             if not has_transitive_set(digraph, 3) and not digraph_independent(digraph, m):
                 return digraph
     return None

@@ -7,16 +7,23 @@ package's search implementations.
 
 from __future__ import annotations
 
+import math
+import random
 from itertools import combinations, permutations, product
 
+from transversal_lab.errors import VerificationError
 from transversal_lab.graphs import (
     BitDigraph,
     UGraph,
     bits,
+    count_cliques_in,
+    digraph_independent,
     has_independent_set,
+    has_transitive_set,
     is_independent,
     mask_of,
 )
+from transversal_lab.ramsey import _annealing_energy
 
 
 def naive_has_transitive(d: BitDigraph, n: int) -> bool:
@@ -101,6 +108,32 @@ def all_arced_digraphs(order: int):
 
 def naive_good(d: BitDigraph, n: int, m: int) -> bool:
     return not naive_has_transitive(d, n) and not naive_digraph_independent(d, m)
+
+
+def good_labelled_digraphs_3_3(order: int):
+    """Every labelled digraph on `order` vertices with no transitive triple
+    and no independent 3-set, tested on bit rows.
+
+    All 4^(order choose 2) pair-state vectors are built, as in
+    `all_labelled_digraphs`.  A transitive triple is an arc a -> b with a
+    common out-neighbour, out[a] & out[b] non-zero; an independent 3-set
+    is a triple t none of whose vertices has an arc into t.  Only the good
+    digraphs become `BitDigraph`s.
+    """
+    pairs = [(i, j, 1 << i, 1 << j) for i in range(order) for j in range(i + 1, order)]
+    triples = [(1 << a) | (1 << b) | (1 << c) for a, b, c in combinations(range(order), 3)]
+    for states in product(range(4), repeat=len(pairs)):
+        out = [0] * order
+        for (i, j, bi, bj), s in zip(pairs, states):
+            if s & 1:
+                out[i] |= bj
+            if s & 2:
+                out[j] |= bi
+        if any(out[a] & out[b] for a in range(order) for b in bits(out[a])):
+            continue
+        if any(not any(out[v] & t for v in bits(t)) for t in triples):
+            continue
+        yield BitDigraph(order, out)
 
 
 def naive_transversal_exists(pg, m: int, ell: int) -> bool:
@@ -205,3 +238,121 @@ def naive_half_graph_order(g: UGraph, a_side, b_side) -> int:
         else:
             break
     return best
+
+
+class ReferenceAnnealState:
+    """Pair-state digraph with incremental violation counting.
+
+    Pair k is the k-th pair (i, j), i < j, in lexicographic order; state 1
+    is the arc i -> j, state 2 the arc j -> i, state 0 no arc.  Flipping
+    one pair only touches the triples through it and the independent
+    m-sets containing both endpoints, so a move costs a few row operations
+    plus the (small) independent-set recount instead of a full rescan.
+    """
+
+    def __init__(self, order: int, m: int, states: list[int]):
+        self.order = order
+        self.m = m
+        self.pairs = [(i, j) for i in range(order) for j in range(i + 1, order)]
+        self.states = states
+        self.out = [0] * order
+        self.inn = [0] * order
+        full = (1 << order) - 1
+        self.na = [full ^ (1 << v) for v in range(order)]  # mutual non-adjacency
+        for k, s in enumerate(states):
+            if s:
+                self._toggle(k, s)
+        self.energy = self._full_energy()
+
+    def _toggle(self, k: int, s: int) -> None:
+        """Add the arc of state s > 0 to pair k, or remove it if present."""
+        i, j = self.pairs[k]
+        a, b = (i, j) if s == 1 else (j, i)
+        self.out[a] ^= 1 << b
+        self.inn[b] ^= 1 << a
+        self.na[i] ^= 1 << j
+        self.na[j] ^= 1 << i
+
+    def _triples_through(self, i: int, j: int, s: int) -> int:
+        """Transitive triples through pair {i, j} if it took state s.
+
+        A triple with all three pairs arced is transitive unless it is a
+        3-cycle, so with the arc a -> b these are the common neighbours w
+        of a and b less those closing the cycle a -> b -> w -> a.
+        """
+        if s == 0:
+            return 0
+        a, b = (i, j) if s == 1 else (j, i)
+        out, inn = self.out, self.inn
+        common = (out[a] | inn[a]) & (out[b] | inn[b])
+        return common.bit_count() - (out[b] & inn[a]).bit_count()
+
+    def _count_indep_through_pair(self, i: int, j: int) -> int:
+        """Independent m-sets containing the (currently non-adjacent)
+        pair {i, j}: independent (m-2)-subsets of their common
+        non-neighbourhood."""
+        cand = self.na[i] & self.na[j] & ~(1 << i) & ~(1 << j)
+        return count_cliques_in(self.na, cand, self.m - 2)
+
+    def _full_energy(self) -> int:
+        return _annealing_energy(BitDigraph(self.order, self.out), self.m)
+
+    def build_out(self) -> list[int]:
+        return list(self.out)
+
+    def flip_delta(self, k: int, new_state: int) -> int:
+        """Energy change of setting pair k to new_state."""
+        i, j = self.pairs[k]
+        old_state = self.states[k]
+        if old_state == new_state:
+            return 0
+        delta = self._triples_through(i, j, new_state) - self._triples_through(i, j, old_state)
+        if (old_state == 0) != (new_state == 0):
+            through = self._count_indep_through_pair(i, j)
+            delta += through if new_state == 0 else -through
+        return delta
+
+    def apply(self, k: int, new_state: int, delta: int) -> None:
+        if self.states[k]:
+            self._toggle(k, self.states[k])
+        if new_state:
+            self._toggle(k, new_state)
+        self.states[k] = new_state
+        self.energy += delta
+
+
+def reference_local_search(m: int, order: int, *, seeds: int = 6, iters: int = 120_000, budget=None):
+    """The annealing walk on `ReferenceAnnealState`, one method call per
+    step: the same seed schedule, random draws, budget spending and drift
+    check as `probe_local_search`, which must return the same digraph."""
+    if m < 2:
+        return None
+    n_pairs = order * (order - 1) // 2
+    for seed in range(seeds):
+        rng = random.Random(1_000_003 * m + 1009 * order + seed)
+        anneal = ReferenceAnnealState(order, m, [rng.randint(0, 2) for _ in range(n_pairs)])
+        for it in range(iters):
+            if anneal.energy == 0:
+                break
+            if budget is not None and not budget.spend():
+                return None
+            temperature = 3.0 * (1 - it / iters) + 0.05
+            k = rng.randrange(n_pairs)
+            old = anneal.states[k]
+            new = rng.choice([s for s in (0, 1, 2) if s != old])
+            delta = anneal.flip_delta(k, new)
+            if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+                anneal.apply(k, new, delta)
+            if it % 8192 == 8191:
+                # guard against delta drift; a mismatch here is a bug
+                full = anneal._full_energy()
+                if anneal.energy != full:
+                    raise VerificationError(
+                        f"annealer energy drifted at move {it}: "
+                        f"incremental {anneal.energy}, recomputed {full}"
+                    )
+        if anneal.energy == 0:
+            digraph = BitDigraph(order, anneal.build_out())
+            if not has_transitive_set(digraph, 3) and not digraph_independent(digraph, m):
+                return digraph
+    return None

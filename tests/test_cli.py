@@ -217,6 +217,45 @@ class TestSolverCommands:
         assert code == 0
         assert rep["result"]["found"] is True
 
+    def test_embed_halforder_reports_budget_reason(self, capsys, tmp_path):
+        # a node-budget stop and the greedy tail past exact_cap both give
+        # exact false; only the first names a budget
+        pg = half_graph(5)
+        gpath = tmp_path / "h.g6"
+        cpath = tmp_path / "h.json"
+        gpath.write_text(encode_graph6(pg.graph) + "\n")
+        cpath.write_text(pg.classes_json())
+        args = ("embed", "halforder", "--graph", str(gpath), "--classes", str(cpath))
+        code, rep = run_json(capsys, *args, "--budget-nodes", "2")
+        assert code == 0
+        assert (rep["result"]["order"], rep["result"]["exact"]) == (2, False)
+        assert rep["result"]["budget_reason"] == "nodes"
+        assert rep["nodes"] == 3
+        code, rep = run_json(capsys, *args, "--exact-cap", "3")
+        assert (rep["result"]["order"], rep["result"]["exact"]) == (5, False)
+        assert rep["result"]["budget_reason"] is None
+        assert rep["nodes"] == 14
+
+    def test_embed_balanced_reports_budget_reason(self, capsys, tmp_path):
+        pg = half_graph(3)
+        gpath = tmp_path / "h.g6"
+        cpath = tmp_path / "h.json"
+        ppath = tmp_path / "p.json"
+        gpath.write_text(encode_graph6(pg.graph) + "\n")
+        cpath.write_text(pg.classes_json())
+        ppath.write_text(json.dumps({"left": 1, "right": 1, "edges": [[0, 0]]}))
+        args = ("embed", "balanced", "--graph", str(gpath), "--classes", str(cpath),
+                "--pattern", str(ppath))
+        code, rep = run_json(capsys, *args, "--budget-nodes", "1")
+        assert code == 0
+        assert (rep["result"]["found"], rep["result"]["exact"]) == (False, False)
+        assert rep["result"]["budget_reason"] == "nodes"
+        assert rep["nodes"] == 2
+        code, rep = run_json(capsys, *args)
+        assert (rep["result"]["found"], rep["result"]["exact"]) == (True, True)
+        assert rep["result"]["budget_reason"] is None
+        assert rep["nodes"] == 3
+
     def test_ortho_check(self, capsys, tmp_path):
         fpath = tmp_path / "fam.json"
         fpath.write_text(json.dumps([[1, 0], [0, 1], [1, 1], [1, -1]]))

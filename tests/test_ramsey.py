@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -20,7 +20,14 @@ from transversal_lab.ramsey import (
     verify_ramsey_33,
 )
 
-from oracles import all_arced_digraphs, all_labelled_digraphs, naive_good
+from oracles import (
+    ReferenceAnnealState,
+    all_arced_digraphs,
+    all_labelled_digraphs,
+    good_labelled_digraphs_3_3,
+    naive_good,
+    reference_local_search,
+)
 
 C3 = BitDigraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 TT3 = BitDigraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
@@ -131,17 +138,21 @@ class TestSearchDr:
 class TestIsomorphRejection:
     def test_rejection_loses_nothing_orders_up_to_5(self):
         # canonical classes from the level search equal the canonical forms
-        # of the naively enumerated counterexample sets; the order-5 side
-        # walks all 4^10 labelled digraphs
+        # of the labelled counterexample sets; the order-5 side walks all
+        # 4^10 labelled digraphs on bit rows
         eng = enumerate_good_classes(3, 3, 5)
         for order in (2, 3, 4, 5):
-            naive = {
-                canonical_label(d)
-                for d in all_labelled_digraphs(order)
-                if naive_good(d, 3, 3)
-            }
+            labelled = {canonical_label(d) for d in good_labelled_digraphs_3_3(order)}
             engine = {canonical_label(d) for d in eng.levels[order - 1]}
-            assert engine == naive
+            assert engine == labelled
+
+    def test_bit_row_oracle_matches_naive_good(self):
+        # the bit-row goodness test keeps exactly the labelled digraphs
+        # that the tuple-scanning predicates call good
+        for order in (1, 2, 3, 4):
+            naive = [d.out for d in all_labelled_digraphs(order) if naive_good(d, 3, 3)]
+            bit_rows = [d.out for d in good_labelled_digraphs_3_3(order)]
+            assert bit_rows == naive, order
 
 
 class TestDrBounds:
@@ -278,14 +289,15 @@ def brute_force_energy(out, order, m):
 
 class TestAnnealer:
     def test_incremental_energy_matches_full_and_brute_force(self):
-        # _full_energy is _annealing_energy on the current arcs
-        from transversal_lab.ramsey import _AnnealState
-
+        # the reference walk's state: _full_energy is _annealing_energy on
+        # the current arcs
         rng = random.Random(5)
         for order in (7, 8, 9, 12, 14):
             for m in (2, 3, 4):
                 n_pairs = order * (order - 1) // 2
-                anneal = _AnnealState(order, m, [rng.randint(0, 2) for _ in range(n_pairs)])
+                anneal = ReferenceAnnealState(
+                    order, m, [rng.randint(0, 2) for _ in range(n_pairs)]
+                )
                 for flip in range(200):
                     k = rng.randrange(n_pairs)
                     new = rng.choice([s for s in (0, 1, 2) if s != anneal.states[k]])
@@ -295,17 +307,42 @@ class TestAnnealer:
                         out = anneal.build_out()
                         assert anneal.energy == brute_force_energy(out, order, m)
 
-    def test_drift_guard_raises(self, monkeypatch):
-        # an off-by-one delta must stop the walk with an explicit error,
-        # which, unlike an assert, survives python -O
-        from transversal_lab.ramsey import _AnnealState, probe_local_search
+    def test_probe_matches_reference_walk(self):
+        # the move loop on local rows takes the reference's every step:
+        # same digraph, same moves spent, same limit hit
+        from transversal_lab.ramsey import _Budget, probe_local_search
 
-        exact = _AnnealState.flip_delta
-        monkeypatch.setattr(
-            _AnnealState, "flip_delta", lambda self, k, s: exact(self, k, s) + 1
-        )
+        found = budget_ended = 0
+        for m, order, iters, node_budget in product(
+            (2, 3, 4, 5), (3, 5, 8, 11, 14), (200, 9000), (None, 1, 4000)
+        ):
+            case = (m, order, iters, node_budget)
+            fast, ref = _Budget(node_budget, None), _Budget(node_budget, None)
+            got = probe_local_search(m, order, seeds=2, iters=iters, budget=fast)
+            want = reference_local_search(m, order, seeds=2, iters=iters, budget=ref)
+            assert (got is None) == (want is None), case
+            assert got is None or got.out == want.out, case
+            assert (fast.nodes, fast.reason) == (ref.nodes, ref.reason), case
+            found += got is not None
+            budget_ended += fast.reason == "nodes"
+        assert (found, budget_ended) == (46, 45)
+
+    def test_drift_guard_raises(self, monkeypatch):
+        # a full recount that disagrees with the incremental energy must
+        # stop the walk with an explicit error, which, unlike an assert,
+        # survives python -O
+        from transversal_lab import ramsey
+
+        exact = ramsey._annealing_energy
+        calls = []
+
+        def off_by_one_after_first(d, m):
+            calls.append(d)
+            return exact(d, m) + (len(calls) > 1)
+
+        monkeypatch.setattr(ramsey, "_annealing_energy", off_by_one_after_first)
         with pytest.raises(VerificationError, match="drifted"):
-            probe_local_search(2, 10, seeds=1, iters=8192)
+            ramsey.probe_local_search(2, 10, seeds=1, iters=8192)
 
 
 class TestUniqueExtremalDigraph:
