@@ -346,7 +346,7 @@ class _Budget:
 
     def __init__(self, node_budget: Optional[int], time_budget: Optional[float]):
         self.node_budget = node_budget
-        self.deadline = time.monotonic() + time_budget if time_budget else None
+        self.deadline = time.monotonic() + time_budget if time_budget is not None else None
         self.nodes = 0
         self.reason: Optional[str] = None
 
@@ -638,6 +638,10 @@ def search_dr(
         raise ValueError("n and m must be >= 1")
     if max_order is not None and max_order < 1:
         raise ValueError("max_order must be >= 1")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError("node_budget must be >= 0")
+    if time_budget is not None and time_budget < 0:
+        raise ValueError("time_budget must be >= 0")
     if n == 1 or m == 1:
         return DrResult(n, m, 1, 1, True, None, "bound-table")
 

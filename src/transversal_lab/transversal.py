@@ -107,6 +107,8 @@ def find_transversal(
     """
     if m < 1 or ell < 1:
         raise ValueError("m and ell must be >= 1")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError("node_budget must be >= 0")
     g = pg.graph
     adj = g.adj
     class_masks = pg.class_masks()

@@ -18,11 +18,13 @@ from transversal_lab.graphs import (
     bits,
     count_cliques_in,
     digraph_independent,
+    find_clique_in,
     has_independent_set,
     has_transitive_set,
     is_independent,
     mask_of,
 )
+from transversal_lab.ortho import AlphaSearchResult, VectorFamily, dot
 from transversal_lab.ramsey import _annealing_energy
 
 
@@ -356,3 +358,49 @@ def reference_local_search(m: int, order: int, *, seeds: int = 6, iters: int = 1
             if not has_transitive_set(digraph, 3) and not digraph_independent(digraph, m):
                 return digraph
     return None
+
+
+def reference_alpha_lower_search(n: int, m: int, pool, *, node_budget=None):
+    """The plain include-first recursion that `alpha_lower_search` replaced:
+    one call per node, one clique test per take, its own dot-product rows.
+    Returns an `AlphaSearchResult` with the same family, exact flag and
+    node count the fast search must reproduce."""
+    if pool.dimension != n:
+        raise ValueError("pool dimension mismatch")
+    size = len(pool)
+    vecs = pool.vectors
+    # adjacency of the NON-orthogonality graph
+    nonortho = [0] * size
+    for i in range(size):
+        for j in range(i + 1, size):
+            if dot(vecs[i], vecs[j]) != 0:
+                nonortho[i] |= 1 << j
+                nonortho[j] |= 1 << i
+
+    best_mask = 0
+    best_size = 0
+    nodes = 0
+    budget_hit = False
+
+    def branch(idx: int, chosen: int, count: int) -> None:
+        nonlocal best_mask, best_size, nodes, budget_hit
+        if budget_hit:
+            return
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            budget_hit = True
+            return
+        if count > best_size:
+            best_size = count
+            best_mask = chosen
+        if idx == size or count + (size - idx) <= best_size:
+            return
+        # take idx only if it closes no (m+1)-clique of pairwise
+        # non-orthogonal vectors
+        if find_clique_in(nonortho, chosen & nonortho[idx], m) is None:
+            branch(idx + 1, chosen | (1 << idx), count + 1)
+        branch(idx + 1, chosen, count)
+
+    branch(0, 0, 0)
+    family = VectorFamily(n, tuple(vecs[i] for i in bits(best_mask)))
+    return AlphaSearchResult(family, not budget_hit, nodes)

@@ -187,6 +187,8 @@ class TestSolverCommands:
         code, rep = run_json(capsys, *args)
         assert rep["result"]["status"] == "none"
         assert rep["result"]["budget_reason"] is None
+        code, out = run(capsys, *args, "--budget-nodes", "-1")
+        assert (code, out) == (2, "")
 
     def test_embed_halforder_on_half_graph(self, capsys, tmp_path):
         pg = half_graph(5)
@@ -303,3 +305,22 @@ class TestExitCodes:
         code = main(["dr", "compute", "--n", "3", "--m", "3", "--max-order", "0"])
         assert code == 2
         assert "max_order must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--budget-nodes", "-5", "node_budget must be >= 0"), ("--budget-secs", "-1", "time_budget must be >= 0")],
+    )
+    def test_negative_dr_budget_is_2(self, capsys, flag, value, message):
+        code = main(["dr", "compute", "--n", "3", "--m", "3", flag, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(["--m", "2", "--budget-nodes", "-1"], "node_budget must be >= 0"), (["--m", "0"], "m must be >= 1")],
+    )
+    def test_bad_ortho_search_is_2(self, capsys, extra, message):
+        code = main(["ortho", "search", "--dim", "2", *extra])
+        assert code == 2
+        assert message in capsys.readouterr().err

@@ -10,11 +10,13 @@ from transversal_lab.ortho import (
     alpha_lower_search,
     canonical_direction,
     directions_of_height,
-        matching_family_q2,
+    matching_family_q2,
     ortho_graph,
     rstar_relation,
     standard_basis,
 )
+
+from oracles import reference_alpha_lower_search
 
 
 class TestCanonicalDirection:
@@ -130,8 +132,60 @@ class TestAlphaLowerSearch:
     def test_budget_degrades(self):
         pool = directions_of_height(2, 3)
         res = alpha_lower_search(2, 2, pool, node_budget=5)
-        assert not res.exact
-        assert alpha_check(res.family, 2) or len(res.family) == 0
+        assert res.family.vectors == ((0, 1), (1, -3))
+        assert (res.exact, res.nodes) == (False, 6)
+
+    def test_m_below_one_rejected(self):
+        pool = directions_of_height(2, 3)
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                alpha_lower_search(2, m, pool)
+
+    def test_negative_budget_rejected(self):
+        pool = directions_of_height(2, 3)
+        with pytest.raises(ValueError, match="node_budget must be >= 0"):
+            alpha_lower_search(2, 2, pool, node_budget=-1)
+        res = alpha_lower_search(2, 2, pool, node_budget=0)
+        assert (res.family.vectors, res.exact, res.nodes) == ((), False, 1)
+
+    def test_matches_reference_recursion(self):
+        # seeded random sub-pools, in pool order and shuffled, every m the
+        # blocked-mask lemma distinguishes and budgets that stop inside
+        # counted exclusion runs
+        rng = random.Random(9)
+        pools = [directions_of_height(2, 3), directions_of_height(3, 1), directions_of_height(3, 2),
+                 directions_of_height(4, 1)]
+        stopped = 0
+        for case in range(300):
+            base = pools[case % len(pools)]
+            picked = rng.sample(base.vectors, rng.randint(0, min(len(base), 16)))
+            if case % 2:
+                picked.sort()
+            pool = VectorFamily(base.dimension, tuple(picked))
+            m = 1 + case % 4
+            walk = reference_alpha_lower_search(pool.dimension, m, pool).nodes
+            for budget in (None, 1, 2, 7, rng.randint(0, walk)):
+                got = alpha_lower_search(pool.dimension, m, pool, node_budget=budget)
+                want = reference_alpha_lower_search(pool.dimension, m, pool, node_budget=budget)
+                assert (got.family, got.exact, got.nodes) == (want.family, want.exact, want.nodes), (
+                    case, m, budget,
+                )
+                stopped += not got.exact
+        assert stopped == 1073
+
+    def test_benchmark_results_pinned(self):
+        # positive controls: the exact (3,2) value and the budgeted (3,3) walk
+        pool = directions_of_height(3, 2)
+        res = alpha_lower_search(3, 2, pool)
+        assert (len(res.family), res.exact, res.nodes) == (6, True, 189_320)
+        assert alpha_check(res.family, 2)
+        res = alpha_lower_search(3, 3, pool, node_budget=1_000_000)
+        assert (len(res.family), res.exact, res.nodes) == (9, False, 1_000_001)
+        assert res.family.vectors == (
+            (0, 0, 1), (0, 1, -2), (0, 1, -1), (0, 2, 1), (1, -2, 0),
+            (1, -1, -1), (1, 0, 0), (2, 1, 0), (2, 1, 1),
+        )
+        assert alpha_check(res.family, 3)
 
 
 class TestMatchingFamily:

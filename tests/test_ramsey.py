@@ -108,6 +108,17 @@ class TestSearchDr:
         res = search_dr(3, 3)
         assert res.exact and not res.budget_hit and res.budget_reason is None
 
+    def test_zero_time_budget_is_a_limit(self):
+        res = search_dr(3, 3, time_budget=0)
+        assert res.budget_hit and res.budget_reason == "time" and not res.exact
+        assert res.certificate.reverify()
+
+    def test_negative_budgets_rejected(self):
+        with pytest.raises(ValueError, match="node_budget must be >= 0"):
+            search_dr(3, 3, node_budget=-5)
+        with pytest.raises(ValueError, match="time_budget must be >= 0"):
+            search_dr(3, 3, time_budget=-0.5)
+
     def test_certified_lower_bound_sound(self):
         res = search_dr(3, 3, node_budget=500, probe=False)
         cert = res.certificate

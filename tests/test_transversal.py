@@ -85,6 +85,11 @@ class TestFindTransversal:
         assert res.witness == frozenset({0, 1, 8, 12})
         assert res.witness == find_transversal(pg, 2, 2).witness
 
+    def test_negative_budget_rejected(self):
+        pg = random_partitioned(random.Random(0), max_order=16, max_classes=4)
+        with pytest.raises(ValueError, match="node_budget must be >= 0"):
+            find_transversal(pg, 2, 2, node_budget=-1)
+
     def test_m_larger_than_classes(self):
         pg = PartitionedGraph(UGraph.empty(2), (frozenset({0, 1}),))
         assert find_transversal(pg, 2, 1).status == "none"
