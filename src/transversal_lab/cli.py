@@ -224,7 +224,7 @@ def _cmd_transversal_solve(args) -> int:
         "profile": list(res.profile),
         "nodes_explored": res.nodes,
         "exact": res.status != "budget",
-        "budget_reason": "nodes" if res.status == "budget" else None,
+        "budget_reason": res.budget_reason,
     }
     _emit(_report("transversal solve", params, payload, started, nodes=res.nodes))
     return EXIT_OK
@@ -280,7 +280,7 @@ def _cmd_embed_balanced(args) -> int:
         "left_images": list(out.report.left_images) if out.report else None,
         "right_images": list(out.report.right_images) if out.report else None,
         "side_assignment": list(out.report.side_assignment) if out.report else None,
-        "budget_reason": None if out.exact else "nodes",
+        "budget_reason": out.budget_reason,
     }
     _emit(_report("embed balanced", params, payload, started, nodes=out.nodes))
     return EXIT_OK
@@ -320,7 +320,7 @@ def _cmd_ortho_search(args) -> int:
     payload = {
         "alpha_lower": len(res.family),
         "exact_over_pool": res.exact,
-        "budget_reason": None if res.exact else "nodes",
+        "budget_reason": res.budget_reason,
         "pool_size": len(pool),
         "family": res.family.to_json_obj(),
     }

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .constructions import PartitionedGraph
-from .graphs import UGraph, bits, mask_of
+from .errors import BudgetExceeded
+from .graphs import Budget, UGraph, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -110,14 +111,20 @@ def half_graph_order(
     beyond; nonempty sides always certify order >= 1 since the single
     pair carries no required edge.
     """
-    amask, bmask = mask_of(a), mask_of(b)
+    return _half_graph_order(g, mask_of(a), mask_of(b), exact_cap, Budget(node_budget))
+
+
+def _half_graph_order(
+    g: UGraph, amask: int, bmask: int, exact_cap: int, budget: Budget
+) -> HalfOrderResult:
+    """half_graph_order on side masks, spending from `budget`; the result
+    counts the nodes this call spent."""
     if amask & bmask:
         raise ValueError("sides must be disjoint")
     if amask == 0 or bmask == 0:
         return HalfOrderResult(0, True, (), ())
     adj = g.adj
-    nodes = 0
-    budget_hit = False
+    start = budget.nodes
     best_k = 0
     best_seq: tuple[int, ...] = ()
 
@@ -132,7 +139,6 @@ def half_graph_order(
     def search(seq: list[int], used: int, pool: int, fmin: int) -> None:
         """pool = b n N(all chosen); fmin = min over pools seen so far of
         |S_j| + j - 1, covering indices j = 1..len(seq)."""
-        nonlocal nodes, budget_hit
         depth = len(seq)
         if depth >= exact_cap + 1:
             return
@@ -142,22 +148,21 @@ def half_graph_order(
         if depth >= 1 and potential <= best_k:
             return
         for v in bits(amask & ~used):
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                budget_hit = True
-                return
+            if not budget.spend():
+                raise BudgetExceeded
             new_fmin = min(fmin, pool.bit_count() + depth)
             seq.append(v)
             record(seq, new_fmin)
             search(seq, used | (1 << v), pool & adj[v], new_fmin)
             seq.pop()
-            if budget_hit:
-                return
 
-    search([], 0, bmask, 1 << 30)
+    try:
+        search([], 0, bmask, 1 << 30)
+    except BudgetExceeded:
+        pass
 
-    exact = not budget_hit and best_k <= exact_cap
-    if not budget_hit and best_k == exact_cap + 1:
+    exact = not budget.hit and best_k <= exact_cap
+    if not budget.hit and best_k == exact_cap + 1:
         # greedy extension: keep appending the a-vertex that preserves the
         # largest next pool, updating the certified order as it grows
         seq = list(best_seq)
@@ -184,7 +189,7 @@ def half_graph_order(
             best_seq = tuple(seq[:cert])
     a_seq = best_seq
     b_seq = _assign_b_sequence(g, a_seq, bmask) if best_k else ()
-    return HalfOrderResult(best_k, exact, a_seq, b_seq, nodes, "nodes" if budget_hit else None)
+    return HalfOrderResult(best_k, exact, a_seq, b_seq, budget.nodes - start, budget.reason)
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +205,18 @@ class RichPairVerdict:
     a_witness: tuple[int, ...] = ()
     b_witness: tuple[int, ...] = ()
     direction: str = "ab"
+    budget_reason: Optional[str] = None  # "nodes" when the node budget cut a phase short
 
 
 def _find_empty_biclique(
-    g: UGraph, amask: int, bmask: int, k: int, node_budget: Optional[int]
+    g: UGraph, amask: int, bmask: int, k: int, budget: Budget
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """k vertices from each side with no cross edge at all (a K_{k,k} in
-    the bipartite complement), lexicographically least on the a side."""
+    the bipartite complement), lexicographically least on the a side.
+    Raises BudgetExceeded when `budget` runs out first."""
     adj = g.adj
-    nodes = 0
 
     def rec(chosen: list[int], avail_a: int, cand_b: int) -> Optional[tuple]:
-        nonlocal nodes
         if len(chosen) == k:
             picks = []
             rest = cand_b
@@ -221,9 +226,8 @@ def _find_empty_biclique(
                 rest ^= low
             return tuple(chosen), tuple(picks)
         for v in bits(avail_a):
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                return None
+            if not budget.spend():
+                raise BudgetExceeded
             nb = cand_b & ~adj[v]
             if nb.bit_count() < k:
                 continue
@@ -248,22 +252,31 @@ def rich_pair_surrogate(
     """Finite surrogate of the rich-pair dichotomy: first look for a
     cross-empty K_{k,k} between the sides, then for a half-graph witness
     of order k in either direction, else report inconclusive.
+
+    One node budget covers all three phases.  A budget stop ends the call;
+    its verdict names the budget in budget_reason, and is inconclusive
+    unless the stopped half-graph phase had already certified order k.
     """
     amask, bmask = mask_of(a), mask_of(b)
     if amask.bit_count() < k or bmask.bit_count() < k:
         raise ValueError("both sides must have at least k vertices")
-    found = _find_empty_biclique(g, amask, bmask, k, node_budget)
+    budget = Budget(node_budget)
+    try:
+        found = _find_empty_biclique(g, amask, bmask, k, budget)
+    except BudgetExceeded:
+        return RichPairVerdict("inconclusive", budget_reason=budget.reason)
     if found is not None:
         return RichPairVerdict("empty_pair", found[0], found[1])
     for direction, (side1, side2) in (("ab", (amask, bmask)), ("ba", (bmask, amask))):
-        res = half_graph_order(
-            g, bits(side1), bits(side2), exact_cap=k, node_budget=node_budget
-        )
+        res = _half_graph_order(g, side1, side2, k, budget)
         if res.order >= k:
             return RichPairVerdict(
-                "half_graph", res.a_sequence[:k], res.b_sequence[:k], direction
+                "half_graph", res.a_sequence[:k], res.b_sequence[:k], direction,
+                budget.reason,
             )
-    return RichPairVerdict("inconclusive")
+        if budget.hit:
+            break
+    return RichPairVerdict("inconclusive", budget_reason=budget.reason)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +333,7 @@ class EmbedOutcome:
     report: Optional[EmbeddingReport]
     exact: bool  # True when absence is backed by an exhausted search
     nodes: int = 0
+    budget_reason: Optional[str] = None  # "nodes" when the node budget ended the search
 
 
 def balanced_induced_embed(
@@ -340,30 +354,25 @@ def balanced_induced_embed(
         raise ValueError("pattern sides must be nonempty")
     if host.num_classes != 2:
         raise ValueError("host must have exactly 2 classes")
+    budget = Budget(node_budget)
     g = host.graph
     adj = g.adj
     class_masks = host.class_masks()
     right_nbrs = pattern.right_neighbour_sets()
-    nodes = 0
-    budget_hit = False
 
     def try_assignment(left_cls: int) -> Optional[EmbeddingReport]:
-        nonlocal nodes, budget_hit
         lmask = class_masks[left_cls]
         rmask = class_masks[1 - left_cls]
         left_images: list[int] = []
         right_images: list[int] = []
 
         def place_right(j: int, used: int) -> bool:
-            nonlocal nodes, budget_hit
             if j == pattern.right_size:
                 return True
             want = right_nbrs[j]
             for v in bits(rmask & ~used):
-                nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    budget_hit = True
-                    return False
+                if not budget.spend():
+                    raise BudgetExceeded
                 ok = all(
                     g.has_edge(left_images[i], v) == (i in want)
                     for i in range(pattern.left_size)
@@ -373,27 +382,20 @@ def balanced_induced_embed(
                     if place_right(j + 1, used | (1 << v)):
                         return True
                     right_images.pop()
-                if budget_hit:
-                    return False
             return False
 
         def place_left(i: int, used: int) -> bool:
-            nonlocal nodes, budget_hit
             if i == pattern.left_size:
                 return place_right(0, used)
             for v in bits(lmask & ~used):
-                nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    budget_hit = True
-                    return False
+                if not budget.spend():
+                    raise BudgetExceeded
                 if any(adj[v] & (1 << u) for u in left_images):
                     continue
                 left_images.append(v)
                 if place_left(i + 1, used | (1 << v)):
                     return True
                 left_images.pop()
-                if budget_hit:
-                    return False
             return False
 
         if place_left(0, 0):
@@ -406,11 +408,12 @@ def balanced_induced_embed(
         return None
 
     for left_cls in (0, 1):
-        report = try_assignment(left_cls)
+        try:
+            report = try_assignment(left_cls)
+        except BudgetExceeded:
+            return EmbedOutcome(None, False, budget.nodes, budget.reason)
         if report is not None:
             if not report.verify(host, pattern):
                 raise AssertionError("embedding failed its own re-verification")
-            return EmbedOutcome(report, True, nodes)
-        if budget_hit:
-            return EmbedOutcome(None, False, nodes)
-    return EmbedOutcome(None, True, nodes)
+            return EmbedOutcome(report, True, budget.nodes)
+    return EmbedOutcome(None, True, budget.nodes)

@@ -8,14 +8,8 @@ class TransversalLabError(Exception):
 
 
 class BudgetExceeded(TransversalLabError):
-    """A search hit its node or wall-clock budget before exhausting its space.
-
-    Carries whatever partial information the caller can still use.
-    """
-
-    def __init__(self, message: str = "search budget exceeded", **partial):
-        super().__init__(message)
-        self.partial = partial
+    """A search hit its node or wall-clock budget before exhausting its
+    space; graphs.Budget records which limit and how many nodes."""
 
 
 class CapExceeded(TransversalLabError):

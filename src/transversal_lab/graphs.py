@@ -1,8 +1,9 @@
-"""Core graph and digraph values plus the predicates everything else builds on.
+"""Core graph and digraph values plus the predicates everything else builds
+on, and the node and time Budget every search spends from.
 
 Both graph kinds store neighbourhoods as Python int bitsets (bit v set means
 vertex v is a neighbour).  Values are immutable after construction and safe
-to share across workers; every operation here is a pure function.
+to share across workers; every operation on them is a pure function.
 
 Vertex sets are plain ints used as bitmasks internally; the public API
 accepts any iterable of vertex indices and converts.
@@ -10,9 +11,9 @@ accepts any iterable of vertex indices and converts.
 
 from __future__ import annotations
 
+import math
+import time
 from typing import Iterable, Iterator, Optional, Sequence
-
-from .errors import BudgetExceeded
 
 DIGRAPH_MAX_ORDER = 128
 
@@ -30,6 +31,64 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+class Budget:
+    """Node and wall-clock limits for one search call, shared by all of its
+    phases; every budgeted search in the toolkit builds one.
+
+    A negative budget raises ValueError; None means no limit, and 0 is a
+    limit that the first node crosses.  `limit` is the node budget, or
+    math.inf without one; the deadline is fixed at construction.
+
+    spend(k) adds k nodes and returns False once a limit is hit.  The spend
+    that crosses the node limit clamps `nodes` to limit + 1, where a
+    one-by-one count stops, so a search that counts a run of nodes in one
+    step reports what a node-by-node walk would.  Later spends still add
+    to `nodes`.  The clock is read when `nodes` is a multiple of 256, or
+    by out_of_time().  `reason` names the limit hit first, "nodes" or
+    "time", and stays set; None while neither is.
+
+    A hot loop may count in a local int against `limit` and hand its total
+    to one spend() when it stops.  A search unwinds on a stop by raising
+    errors.BudgetExceeded.
+    """
+
+    __slots__ = ("limit", "deadline", "nodes", "reason")
+
+    def __init__(self, node_budget: Optional[int] = None, time_budget: Optional[float] = None):
+        if node_budget is not None and node_budget < 0:
+            raise ValueError("node_budget must be >= 0")
+        if time_budget is not None and time_budget < 0:
+            raise ValueError("time_budget must be >= 0")
+        self.limit = node_budget if node_budget is not None else math.inf
+        self.deadline = time.monotonic() + time_budget if time_budget is not None else None
+        self.nodes = 0
+        self.reason: Optional[str] = None
+
+    @property
+    def hit(self) -> bool:
+        return self.reason is not None
+
+    def spend(self, k: int = 1) -> bool:
+        self.nodes += k
+        if self.reason is None:
+            if self.nodes > self.limit:
+                self.nodes = self.limit + 1
+                self.reason = "nodes"
+            elif (
+                self.deadline is not None
+                and self.nodes % 256 == 0
+                and time.monotonic() > self.deadline
+            ):
+                self.reason = "time"
+        return self.reason is None
+
+    def out_of_time(self) -> bool:
+        """Check the clock without spending a node; True once a limit is hit."""
+        if self.reason is None and self.deadline is not None and time.monotonic() > self.deadline:
+            self.reason = "time"
+        return self.reason is not None
 
 
 class UGraph:
@@ -285,59 +344,25 @@ def is_independent(g: UGraph, vertices: Iterable[int]) -> bool:
     return True
 
 
-def max_independent_set(
-    g: UGraph,
-    *,
-    order_cap: int = 64,
-    node_budget: Optional[int] = None,
-) -> tuple[int, int]:
-    """Exact maximum independent set, returned as (size, vertex mask).
+def max_independent_set(g: UGraph) -> tuple[int, int]:
+    """Lexicographically least maximum independent set of g, as
+    (size, vertex mask).
 
-    Branch and bound on the complement: repeatedly branch on the lowest
-    remaining vertex (take it or not), pruning when even taking every
-    remaining candidate cannot beat the incumbent.  Deterministic, so the
-    returned witness is reproducible.
-
-    Raises BudgetExceeded if g has more than order_cap vertices or the
-    node budget runs out before exhaustion.
+    Asks the clique kernel on the complement for an independent k-set with
+    k = 1, 2, ... until none exists; the last set found is the answer.
     """
-    if g.order > order_cap:
-        raise BudgetExceeded(
-            f"order {g.order} exceeds exact-search cap {order_cap}",
-            order=g.order,
-        )
-    adj = g.adj
-    best_size = 0
-    best_mask = 0
-    nodes = 0
-
-    def grow(chosen: int, size: int, candidates: int) -> None:
-        nonlocal best_size, best_mask, nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise BudgetExceeded(
-                "independent-set node budget exhausted",
-                best_size=best_size,
-                best_mask=best_mask,
-            )
-        if size > best_size:
-            best_size = size
-            best_mask = chosen
-        while candidates:
-            if size + candidates.bit_count() <= best_size:
-                return
-            low = candidates & -candidates
-            v = low.bit_length() - 1
-            candidates ^= low
-            grow(chosen | low, size + 1, candidates & ~adj[v])
-
-    grow(0, 0, (1 << g.order) - 1)
-    return best_size, best_mask
+    full = (1 << g.order) - 1
+    best: tuple[int, ...] = ()
+    while True:
+        found = find_clique_in(g.adj, full, len(best) + 1, -1)
+        if found is None:
+            return len(best), mask_of(best)
+        best = found
 
 
-def independence_number(g: UGraph, *, order_cap: int = 64, node_budget: Optional[int] = None) -> int:
+def independence_number(g: UGraph) -> int:
     """Exact maximum independent-set size of g."""
-    return max_independent_set(g, order_cap=order_cap, node_budget=node_budget)[0]
+    return max_independent_set(g)[0]
 
 
 def has_independent_set(g: UGraph, k: int, within: Optional[int] = None) -> bool:

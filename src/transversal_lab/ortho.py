@@ -10,14 +10,14 @@ rule out real configurations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .graphs import UGraph, bits, find_clique_in, has_independent_set
+from .errors import BudgetExceeded
+from .graphs import Budget, UGraph, bits, find_clique_in, has_independent_set
 
 RatVec = tuple[int, ...]
 
@@ -110,10 +110,7 @@ class AlphaSearchResult:
     family: VectorFamily
     exact: bool
     nodes: int
-
-
-class _OutOfNodes(Exception):
-    """Unwinds alpha_lower_search when its node budget runs out."""
+    budget_reason: Optional[str] = None  # "nodes" when the node budget ended the search
 
 
 def alpha_lower_search(
@@ -150,22 +147,23 @@ def alpha_lower_search(
       node on the exclude chain can update the incumbent, and the chain
       only stops at the bound's cut size - best + count or branches at
       the next unblocked index.  The nodes up to the first of the two are
-      counted in one step.  A budget that runs out inside a run stops the
-      count at node_budget + 1, where a one-by-one count stops.
+      counted in one step.  The walk counts in a local int and hands the
+      total to one Budget.spend, which clamps a count that ran past the
+      budget inside a run to node_budget + 1, where a one-by-one count
+      stops.
     """
     if pool.dimension != n:
         raise ValueError("pool dimension mismatch")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if node_budget is not None and node_budget < 0:
-        raise ValueError("node_budget must be >= 0")
+    budget = Budget(node_budget)
     size = len(pool)
     full = (1 << size) - 1
     # rows of the NON-orthogonality graph: each orthogonality row
     # complemented, without its own vertex
     nonortho = [full ^ row ^ (1 << v) for v, row in enumerate(ortho_graph(pool).adj)]
     later = [row >> (v + 1) << (v + 1) for v, row in enumerate(nonortho)]
-    limit = node_budget if node_budget is not None else math.inf
+    limit = budget.limit
 
     best_mask = 0
     best_size = 0
@@ -177,7 +175,7 @@ def alpha_lower_search(
         nonlocal best_mask, best_size, nodes
         nodes += 1
         if nodes > limit:
-            raise _OutOfNodes
+            raise BudgetExceeded
         if count > best_size:
             best_size = count
             best_mask = chosen
@@ -203,18 +201,17 @@ def alpha_lower_search(
                 stop = max(cut, idx + 1)
             nodes += stop - idx
             if nodes > limit:
-                nodes = node_budget + 1  # where a one-by-one count stops
-                raise _OutOfNodes
+                raise BudgetExceeded
             idx = stop
 
     try:
         walk(0, 0, 0, full)
-        exact = True
-    except _OutOfNodes:
-        exact = False
+    except BudgetExceeded:
+        pass
+    budget.spend(nodes)
     vecs = pool.vectors
     family = VectorFamily(n, tuple(vecs[i] for i in bits(best_mask)))
-    return AlphaSearchResult(family, exact, nodes)
+    return AlphaSearchResult(family, not budget.hit, budget.nodes, budget.reason)
 
 
 def directions_of_height(n: int, height: int) -> VectorFamily:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Optional
@@ -53,6 +52,7 @@ from .canon import canonical_label
 from .errors import NotACounterexample, VerificationError
 from .graphs import (
     BitDigraph,
+    Budget,
     bits,
     count_cliques_in,
     digraph_independent,
@@ -339,47 +339,12 @@ class EnumerationOutcome:
         return None
 
 
-class _Budget:
-    """Node and wall-clock limits shared by the phases of one search; the
-    deadline is fixed at construction.  `reason` records the limit that was
-    hit first, "nodes" or "time", and stays set; None while neither is."""
-
-    def __init__(self, node_budget: Optional[int], time_budget: Optional[float]):
-        self.node_budget = node_budget
-        self.deadline = time.monotonic() + time_budget if time_budget is not None else None
-        self.nodes = 0
-        self.reason: Optional[str] = None
-
-    @property
-    def hit(self) -> bool:
-        return self.reason is not None
-
-    def spend(self, k: int = 1) -> bool:
-        self.nodes += k
-        if self.reason is None:
-            if self.node_budget is not None and self.nodes > self.node_budget:
-                self.reason = "nodes"
-            elif (
-                self.deadline is not None
-                and self.nodes % 256 == 0
-                and time.monotonic() > self.deadline
-            ):
-                self.reason = "time"
-        return self.reason is None
-
-    def out_of_time(self) -> bool:
-        """Check the clock without spending a node; True once the budget is hit."""
-        if self.reason is None and self.deadline is not None and time.monotonic() > self.deadline:
-            self.reason = "time"
-        return self.reason is not None
-
-
 def enumerate_good_classes(
     trans_n: Optional[int],
     indep_m: Optional[int],
     max_order: int,
     *,
-    budget: Optional[_Budget] = None,
+    budget: Optional[Budget] = None,
 ) -> EnumerationOutcome:
     """Isomorph-free enumeration of digraphs avoiding transitive trans_n-sets
     and independent indep_m-sets, by increasing order.
@@ -393,7 +358,7 @@ def enumerate_good_classes(
     if (trans_n is not None and trans_n < 2) or (indep_m is not None and indep_m < 2):
         raise ValueError("constraints must be >= 2 when given")
     if budget is None:
-        budget = _Budget(None, None)
+        budget = Budget()
     start_nodes = budget.nodes
     levels: list[list[BitDigraph]] = [[BitDigraph.empty(1)]]
     budget.spend()
@@ -455,7 +420,7 @@ def _circulant_is_good(q: int, diffs: Iterable[int], n: int, m: int) -> bool:
 
 
 def probe_circulants(
-    n: int, m: int, max_q: int, *, min_q: int = 2, budget: Optional[_Budget] = None
+    n: int, m: int, max_q: int, *, min_q: int = 2, budget: Optional[Budget] = None
 ) -> Optional[BitDigraph]:
     """Deepest good circulant digraph with order in [min_q, max_q], if any.
 
@@ -507,7 +472,7 @@ def probe_local_search(
     *,
     seeds: int = 6,
     iters: int = 120_000,
-    budget: Optional["_Budget"] = None,
+    budget: Optional[Budget] = None,
 ) -> Optional[BitDigraph]:
     """Annealing probe for a good digraph on `order` vertices, n = 3 only.
 
@@ -638,10 +603,7 @@ def search_dr(
         raise ValueError("n and m must be >= 1")
     if max_order is not None and max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if node_budget is not None and node_budget < 0:
-        raise ValueError("node_budget must be >= 0")
-    if time_budget is not None and time_budget < 0:
-        raise ValueError("time_budget must be >= 0")
+    budget = Budget(node_budget, time_budget)
     if n == 1 or m == 1:
         return DrResult(n, m, 1, 1, True, None, "bound-table")
 
@@ -651,7 +613,6 @@ def search_dr(
     # arrives at dr(n, m) <= hi_bound, and heredity ends the run there
     search_cap = hi_bound if max_order is None else min(max_order, hi_bound)
 
-    budget = _Budget(node_budget, time_budget)
     best_cert: Optional[DrCertificate] = None
     if probe:
         cand = probe_circulants(n, m, min(search_cap - 1, PROBE_MAX_ORDER), budget=budget)

@@ -28,6 +28,7 @@ from .constructions import PartitionedGraph, layered_from_digraph
 from .errors import BudgetExceeded
 from .graphs import (
     BitDigraph,
+    Budget,
     UGraph,
     bits,
     find_clique_in,
@@ -44,6 +45,7 @@ class TransversalResult:
     witness: Optional[frozenset[int]]
     profile: tuple[int, ...]  # per-class hit counts (all classes)
     nodes: int = 0
+    budget_reason: Optional[str] = None  # "nodes" when the node budget ended the search
 
     def verify(self, pg: PartitionedGraph, m: int, ell: int) -> bool:
         """Re-check the found/none semantics of this result."""
@@ -95,20 +97,25 @@ def find_transversal(
     lowest vertex first.  A prefix whose newest vertex is adjacent to an
     earlier pick is abandoned: all comb(left, need - 1) of its completions
     (left candidates above it, need - 1 vertices still to add) are
-    dependent, and are counted at once.  A budget that runs out inside
-    such a block stops the count at node_budget + 1, where a one-by-one
-    count stops, so budgets and `nodes` mean what a plain loop over
-    `combinations` makes them mean.
+    dependent, and are counted at once.  The search counts in a local int
+    and hands the total to one Budget.spend, which clamps a count that ran
+    past the budget inside such a block to node_budget + 1, where a
+    one-by-one count stops; so budgets and `nodes` mean what a plain loop
+    over `combinations` makes them mean.
 
     The capacity prune asks whether a later class still holds an
     independent ell-set outside `forbidden`.  The answer depends only on
     lmask = class_mask & ~forbidden, so it is memoised on lmask for the
     call (classes are disjoint, so a nonzero lmask also names its class).
     """
+    return _solve(pg, m, ell, Budget(node_budget))
+
+
+def _solve(pg: PartitionedGraph, m: int, ell: int, budget: Budget) -> TransversalResult:
+    """find_transversal spending from `budget`; the result counts the nodes
+    this call spent."""
     if m < 1 or ell < 1:
         raise ValueError("m and ell must be >= 1")
-    if node_budget is not None and node_budget < 0:
-        raise ValueError("node_budget must be >= 0")
     g = pg.graph
     adj = g.adj
     class_masks = pg.class_masks()
@@ -116,7 +123,8 @@ def find_transversal(
     if m > r:
         return TransversalResult("none", None, (0,) * r, 0)
 
-    nodes = 0
+    limit = budget.limit
+    start = nodes = budget.nodes
     capacity: dict[int, bool] = {}
     targets: tuple[int, ...] = ()  # masks of the chosen classes
     tails: list[tuple[int, ...]] = []  # tails[i] = targets[i + 1 :]
@@ -143,9 +151,8 @@ def find_transversal(
             left -= 1
             if low & nbhd:
                 nodes += comb(left, need - 1)
-                if node_budget is not None and nodes > node_budget:
-                    nodes = node_budget + 1  # where a one-by-one count stops
-                    raise BudgetExceeded("transversal node budget exhausted")
+                if nodes > limit:
+                    raise BudgetExceeded
                 continue
             v = low.bit_length() - 1
             if need > 1:
@@ -154,8 +161,8 @@ def find_transversal(
                     return found
                 continue
             nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise BudgetExceeded("transversal node budget exhausted")
+            if nodes > limit:
+                raise BudgetExceeded
             new_forbidden = forbidden | nbhd | adj[v]
             # capacity prune: every later class must still hold an
             # independent ell-set avoiding everything picked so far
@@ -174,6 +181,7 @@ def find_transversal(
                     return found
         return None
 
+    status, witness, profile = "none", None, (0,) * r
     try:
         for chosen in combinations(range(r), m):
             targets = tuple(class_masks[c] for c in chosen)
@@ -183,12 +191,13 @@ def find_transversal(
             tails = [targets[i + 1 :] for i in range(m)]
             picked = place(0, 0, 0)
             if picked is not None:
-                witness = frozenset(bits(picked))
+                status, witness = "found", frozenset(bits(picked))
                 profile = tuple(len(witness & c) for c in pg.classes)
-                return TransversalResult("found", witness, profile, nodes)
+                break
     except BudgetExceeded:
-        return TransversalResult("budget", None, (0,) * r, nodes)
-    return TransversalResult("none", None, (0,) * r, nodes)
+        status = "budget"
+    budget.spend(nodes - start)
+    return TransversalResult(status, witness, profile, budget.nodes - start, budget.reason)
 
 
 def max_profile(
@@ -196,18 +205,17 @@ def max_profile(
 ) -> int:
     """Largest m for which find_transversal succeeds, by descending probe.
 
-    Raises BudgetExceeded carrying the bracketing interval when the budget
-    runs out before the answer is pinned.
+    One node budget covers every probe.  Raises BudgetExceeded when it runs
+    out before the answer is pinned; the probes above the one it stopped
+    found no transversal, so the answer is at most that probe's m.
     """
-    r = pg.num_classes
-    for m in range(r, 0, -1):
-        res = find_transversal(pg, m, ell, node_budget=node_budget)
-        if res.status == "found":
+    budget = Budget(node_budget)
+    for m in range(pg.num_classes, 0, -1):
+        status = _solve(pg, m, ell, budget).status
+        if status == "found":
             return m
-        if res.status == "budget":
-            raise BudgetExceeded(
-                "max_profile budget exhausted", lower=0, upper=m
-            )
+        if status == "budget":
+            raise BudgetExceeded(f"max_profile node budget exhausted; the answer is at most {m}")
     return 0
 
 

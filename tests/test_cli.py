@@ -324,3 +324,15 @@ class TestExitCodes:
         code = main(["ortho", "search", "--dim", "2", *extra])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["halforder"], ["balanced", "--pattern", "p.json"]])
+    def test_negative_embed_budget_is_2(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        pg = half_graph(3)
+        (tmp_path / "h.g6").write_text(encode_graph6(pg.graph) + "\n")
+        (tmp_path / "h.json").write_text(pg.classes_json())
+        (tmp_path / "p.json").write_text(json.dumps({"left": 1, "right": 1, "edges": [[0, 0]]}))
+        code = main(["embed", *command, "--graph", "h.g6", "--classes", "h.json", "--budget-nodes", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "node_budget must be >= 0" in captured.err and captured.out == ""

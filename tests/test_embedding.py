@@ -122,6 +122,23 @@ class TestRichPairSurrogate:
         inner = half_graph_order(pg.graph, v.a_witness, v.b_witness, exact_cap=4)
         assert inner.order <= 1
 
+    def test_budget_stop_is_reported(self):
+        pg = empty_bipartite(4)
+        v = rich_pair_surrogate(pg.graph, pg.classes[0], pg.classes[1], 3, node_budget=2)
+        assert (v.kind, v.budget_reason) == ("inconclusive", "nodes")
+        v = rich_pair_surrogate(pg.graph, pg.classes[0], pg.classes[1], 3, node_budget=3)
+        assert (v.kind, v.budget_reason) == ("empty_pair", None)
+
+    def test_one_budget_covers_every_phase(self):
+        # the biclique phase spends 4 nodes, the "ab" half-graph phase 10;
+        # a fresh budget per phase would let 5 nodes certify order 3
+        pg = complete_bipartite(4)
+        sides = (pg.graph, pg.classes[0], pg.classes[1], 3)
+        v = rich_pair_surrogate(*sides, node_budget=5)
+        assert (v.kind, v.budget_reason) == ("inconclusive", "nodes")
+        v = rich_pair_surrogate(*sides, node_budget=14)
+        assert (v.kind, v.budget_reason) == ("half_graph", None)
+
     def test_side_size_precondition(self):
         pg = empty_bipartite(2)
         with pytest.raises(ValueError):

@@ -3,7 +3,6 @@ from itertools import combinations, permutations
 
 import pytest
 
-from transversal_lab.errors import BudgetExceeded
 from transversal_lab.graphs import (
     BitDigraph,
     UGraph,
@@ -174,10 +173,6 @@ class TestIndependence:
             ]
             g = UGraph.from_edges(order, edges)
             assert independence_number(g) == naive_max_independent(g)
-
-    def test_order_cap(self):
-        with pytest.raises(BudgetExceeded):
-            independence_number(UGraph.empty(70), order_cap=64)
 
     def test_witness_is_independent(self):
         g = UGraph.cycle(7)

@@ -271,9 +271,10 @@ class TestCirculants:
         # non-circulant territory: the annealer's fixed seed schedule
         # cracks order 14, certifying dr(3,4) >= 15; the move count pins the
         # walk, so a changed delta or random draw shows here
-        from transversal_lab.ramsey import _Budget, probe_local_search
+        from transversal_lab.graphs import Budget
+        from transversal_lab.ramsey import probe_local_search
 
-        budget = _Budget(None, None)
+        budget = Budget()
         cand = probe_local_search(4, 14, budget=budget)
         assert cand is not None and cand.order == 14
         assert check_counterexample(cand, 3, 4).reverify()
@@ -321,14 +322,15 @@ class TestAnnealer:
     def test_probe_matches_reference_walk(self):
         # the move loop on local rows takes the reference's every step:
         # same digraph, same moves spent, same limit hit
-        from transversal_lab.ramsey import _Budget, probe_local_search
+        from transversal_lab.graphs import Budget
+        from transversal_lab.ramsey import probe_local_search
 
         found = budget_ended = 0
         for m, order, iters, node_budget in product(
             (2, 3, 4, 5), (3, 5, 8, 11, 14), (200, 9000), (None, 1, 4000)
         ):
             case = (m, order, iters, node_budget)
-            fast, ref = _Budget(node_budget, None), _Budget(node_budget, None)
+            fast, ref = Budget(node_budget), Budget(node_budget)
             got = probe_local_search(m, order, seeds=2, iters=iters, budget=fast)
             want = reference_local_search(m, order, seeds=2, iters=iters, budget=ref)
             assert (got is None) == (want is None), case

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from transversal_lab.constructions import PartitionedGraph, layered_from_digraph, tensor
+from transversal_lab.errors import BudgetExceeded
 from transversal_lab.graphs import BitDigraph, UGraph, has_clique, is_independent
 from transversal_lab.ramsey import circulant_digraph
 from transversal_lab.transversal import (
@@ -181,6 +182,17 @@ class TestMaxProfile:
             UGraph.complete(5), tuple(frozenset({v}) for v in range(5))
         )
         assert max_profile(pg, 1) == 1
+
+    def test_one_budget_covers_every_probe(self):
+        # the probes m = 6, 5, 4, 3, 2 spend 2, 12, 30, 40 and 2 nodes, and
+        # m = 2 succeeds; each fits in 40 on its own, together they need 86
+        t = tensor(UGraph.complete(3), UGraph.empty(4))
+        pg = split_fibers(t, 3, 4, 2)
+        assert max_profile(pg, 1, node_budget=86) == 2
+        with pytest.raises(BudgetExceeded, match="at most 2"):
+            max_profile(pg, 1, node_budget=85)
+        with pytest.raises(BudgetExceeded, match="at most 4"):
+            max_profile(pg, 1, node_budget=40)
 
     def test_blowup_law_small(self):
         # tensor(K_3, E_6), fibers split into 2 classes: independent sets
