@@ -1,13 +1,16 @@
 """Command-line surface: dr search, generators, transversal and embedding
 solvers, orthogonality searches.
 
-Every command prints one RunReport JSON object to stdout.  Reports are
-deterministic for identical parameters and seeds (timing fields excluded),
-and every witness they carry has passed its re-verification predicate at
-emission time.
+Every command except `gen` prints one RunReport JSON object to stdout:
+each report command returns (command, params, result, nodes) and `main`
+builds, times and prints the report.  Reports are deterministic for
+identical parameters and seeds (timing fields excluded), and every witness
+they carry has passed its re-verification predicate at emission time.
 
-Exit codes: 0 success (including "none" answers), 2 argument errors,
-3 I/O errors, 4 internal verification failure.
+Exit codes: 0 success (including "none" answers); 2 bad flag values;
+3 any unreadable, empty or malformed input file (graph6, digraph6,
+classes, pattern or vector JSON) and any unwritable `--out` path;
+4 internal verification failure.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from . import __version__
 from .codec import decode_digraph6, decode_graph6, encode_digraph6, encode_graph6
@@ -42,7 +45,7 @@ from .ortho import (
     alpha_lower_search,
     directions_of_height,
 )
-from .ramsey import RamseyTable, dr_bounds, search_dr
+from .ramsey import dr_bounds, search_dr
 from .transversal import find_transversal
 
 EXIT_OK = 0
@@ -50,42 +53,36 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
 
-
-def _report(command: str, params: dict, result: dict, started: float, nodes: Optional[int] = None) -> dict:
-    report = {
-        "command": command,
-        "params": params,
-        "result": result,
-        "version": __version__,
-        "timing": {"seconds": round(time.monotonic() - started, 6)},
-    }
-    if nodes is not None:
-        report["nodes"] = nodes
-    return report
+T = TypeVar("T")
+# (command, params, result, nodes); nodes is None for commands that search nothing
+Report = tuple[str, dict, dict, Optional[int]]
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True))
-
-
-def _read_text(path: str) -> str:
+def _load(path: str, parse: Callable[[str], T]) -> T:
+    """Read one input file and parse its text.  Any failure, from a
+    missing file to a wrong JSON shape, is MalformedInput naming the path."""
     try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise _IOFailure(f"cannot read {path}: {exc}") from exc
+        return parse(Path(path).read_text())
+    except Exception as exc:
+        raise MalformedInput(f"cannot load {path}: {type(exc).__name__}: {exc}") from exc
 
 
-class _IOFailure(Exception):
-    pass
+def _first_line(text: str) -> str:
+    # an empty file gives "", which the decoders refuse as empty input
+    return (text.strip().splitlines() or [""])[0]
 
 
 def _load_graph(path: str) -> UGraph:
-    return decode_graph6(_read_text(path).strip().splitlines()[0])
+    return _load(path, lambda text: decode_graph6(_first_line(text)))
 
 
 def _load_partitioned(graph_path: str, classes_path: str) -> PartitionedGraph:
     g = _load_graph(graph_path)
-    return PartitionedGraph.from_classes_json(g, _read_text(classes_path))
+    return _load(classes_path, lambda text: PartitionedGraph.from_classes_json(g, text))
+
+
+def _load_family(path: str, dim: int) -> VectorFamily:
+    return _load(path, lambda text: VectorFamily.from_raw(dim, json.loads(text)))
 
 
 def _write_or_print(lines: list[str], out: Optional[str], suffixes: list[str]) -> None:
@@ -94,10 +91,7 @@ def _write_or_print(lines: list[str], out: Optional[str], suffixes: list[str]) -
             print(line)
         return
     for line, suffix in zip(lines, suffixes):
-        try:
-            Path(out + suffix).write_text(line + "\n")
-        except OSError as exc:
-            raise _IOFailure(f"cannot write {out + suffix}: {exc}") from exc
+        Path(out + suffix).write_text(line + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +99,7 @@ def _write_or_print(lines: list[str], out: Optional[str], suffixes: list[str]) -
 # ---------------------------------------------------------------------------
 
 
-def _cmd_dr_compute(args) -> int:
-    started = time.monotonic()
+def _cmd_dr_compute(args) -> Report:
     params = {
         "n": args.n,
         "m": args.m,
@@ -140,16 +133,12 @@ def _cmd_dr_compute(args) -> int:
         "budget_reason": result.budget_reason,
         "level_counts": list(result.level_counts),
     }
-    _emit(_report("dr compute", params, payload, started, nodes=result.nodes))
-    return EXIT_OK
+    return "dr compute", params, payload, result.nodes
 
 
-def _cmd_dr_bounds(args) -> int:
-    started = time.monotonic()
-    params = {"n": args.n, "m": args.m}
-    lo, hi = dr_bounds(args.n, args.m, table=RamseyTable.default())
-    _emit(_report("dr bounds", params, {"lower": lo, "upper": hi, "exact": lo == hi}, started))
-    return EXIT_OK
+def _cmd_dr_bounds(args) -> Report:
+    lo, hi = dr_bounds(args.n, args.m)
+    return "dr bounds", {"n": args.n, "m": args.m}, {"lower": lo, "upper": hi, "exact": lo == hi}, None
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +146,20 @@ def _cmd_dr_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     kind = args.generator
+    if kind in ("tensor", "shift", "henson"):
+        if kind == "tensor":
+            graph = tensor(_load_graph(args.g), _load_graph(args.h))
+        elif kind == "shift":
+            graph = shift_graph(args.n, args.N)
+        else:
+            seed = _load_graph(args.seed_graph) if args.seed_graph else UGraph.empty(2)
+            graph = henson_approx(args.n, args.rounds, seed, args.rng_seed, pair_cap=args.cap)
+        _write_or_print([encode_graph6(graph)], args.out, [".g6"])
+        return
     if kind == "layered":
-        digraph = decode_digraph6(_read_text(args.digraph).strip().splitlines()[0])
+        digraph = _load(args.digraph, lambda text: decode_digraph6(_first_line(text)))
         pg = layered_from_digraph(digraph, args.depth)
     elif kind == "half":
         pg = half_graph(args.k)
@@ -168,23 +167,6 @@ def _cmd_gen(args) -> int:
         pg = complete_bipartite(args.k)
     elif kind == "empty":
         pg = empty_bipartite(args.k)
-    elif kind == "tensor":
-        g = _load_graph(args.g)
-        h = _load_graph(args.h)
-        out_graph = tensor(g, h)
-        _write_or_print([encode_graph6(out_graph)], args.out, [".g6"])
-        return EXIT_OK
-    elif kind == "shift":
-        out_graph = shift_graph(args.n, args.N)
-        _write_or_print([encode_graph6(out_graph)], args.out, [".g6"])
-        return EXIT_OK
-    elif kind == "henson":
-        seed = _load_graph(args.seed_graph) if args.seed_graph else UGraph.empty(2)
-        out_graph = henson_approx(
-            args.n, args.rounds, seed, args.rng_seed, pair_cap=args.cap
-        )
-        _write_or_print([encode_graph6(out_graph)], args.out, [".g6"])
-        return EXIT_OK
     elif kind == "partition-witness":
         g = _load_graph(args.graph)
         a = [int(x) for x in args.a.split(",") if x != ""]
@@ -197,7 +179,6 @@ def _cmd_gen(args) -> int:
     _write_or_print(
         [encode_graph6(pg.graph), pg.classes_json()], args.out, [".g6", ".classes.json"]
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +186,7 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_transversal_solve(args) -> int:
-    started = time.monotonic()
+def _cmd_transversal_solve(args) -> Report:
     pg = _load_partitioned(args.graph, args.classes)
     params = {
         "graph": args.graph,
@@ -226,15 +206,13 @@ def _cmd_transversal_solve(args) -> int:
         "exact": res.status != "budget",
         "budget_reason": res.budget_reason,
     }
-    _emit(_report("transversal solve", params, payload, started, nodes=res.nodes))
-    return EXIT_OK
+    return "transversal solve", params, payload, res.nodes
 
 
-def _cmd_embed_halforder(args) -> int:
-    started = time.monotonic()
+def _cmd_embed_halforder(args) -> Report:
     pg = _load_partitioned(args.graph, args.classes)
     if pg.num_classes != 2:
-        raise MalformedInput("halforder needs exactly 2 classes")
+        raise MalformedInput(f"{args.classes}: halforder needs exactly 2 classes")
     params = {
         "graph": args.graph,
         "classes": args.classes,
@@ -257,14 +235,12 @@ def _cmd_embed_halforder(args) -> int:
         "b_sequence": list(res.b_sequence),
         "budget_reason": res.budget_reason,
     }
-    _emit(_report("embed halforder", params, payload, started, nodes=res.nodes))
-    return EXIT_OK
+    return "embed halforder", params, payload, res.nodes
 
 
-def _cmd_embed_balanced(args) -> int:
-    started = time.monotonic()
+def _cmd_embed_balanced(args) -> Report:
     pg = _load_partitioned(args.graph, args.classes)
-    pattern = BipartitePattern.from_json_dict(json.loads(_read_text(args.pattern)))
+    pattern = _load(args.pattern, lambda text: BipartitePattern.from_json_dict(json.loads(text)))
     params = {
         "graph": args.graph,
         "classes": args.classes,
@@ -282,27 +258,17 @@ def _cmd_embed_balanced(args) -> int:
         "side_assignment": list(out.report.side_assignment) if out.report else None,
         "budget_reason": out.budget_reason,
     }
-    _emit(_report("embed balanced", params, payload, started, nodes=out.nodes))
-    return EXIT_OK
+    return "embed balanced", params, payload, out.nodes
 
 
-def _load_family(path: str, dim: int) -> VectorFamily:
-    data = json.loads(_read_text(path))
-    return VectorFamily.from_raw(dim, data)
-
-
-def _cmd_ortho_check(args) -> int:
-    started = time.monotonic()
+def _cmd_ortho_check(args) -> Report:
     family = _load_family(args.family, args.dim)
     params = {"family": args.family, "dim": args.dim, "m": args.m}
-    ok = alpha_check(family, args.m)
-    payload = {"ok": ok, "family_size": len(family)}
-    _emit(_report("ortho check", params, payload, started))
-    return EXIT_OK
+    payload = {"ok": alpha_check(family, args.m), "family_size": len(family)}
+    return "ortho check", params, payload, None
 
 
-def _cmd_ortho_search(args) -> int:
-    started = time.monotonic()
+def _cmd_ortho_search(args) -> Report:
     if args.pool:
         pool = _load_family(args.pool, args.dim)
     else:
@@ -324,8 +290,7 @@ def _cmd_ortho_search(args) -> int:
         "pool_size": len(pool),
         "family": res.family.to_json_obj(),
     }
-    _emit(_report("ortho search", params, payload, started, nodes=res.nodes))
-    return EXIT_OK
+    return "ortho search", params, payload, res.nodes
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     g_pw.add_argument("--pair-budget", type=int, default=64)
     g_rado = gen_sub.add_parser("rado")
     g_rado.add_argument("--depth", type=int, required=True)
-    for gp in (g_layered, g_tensor, g_shift, g_henson, g_pw, g_rado):
+    for gp in gen_sub.choices.values():
         gp.add_argument("--out", default=None, help="output base path")
-    for name in ("half", "complete", "empty"):
-        gen_sub.choices[name].add_argument("--out", default=None)
     p_gen.set_defaults(func=_cmd_gen)
 
     p_tr = sub.add_parser("transversal", help="independent transversal solver")
@@ -435,25 +398,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
-    except _IOFailure as exc:
+        out = args.func(args)
+    except (OSError, MalformedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except MalformedInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except TransversalLabError as exc:
+    except (TransversalLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if out is not None:  # gen prints its own lines
+        command, params, result, nodes = out
+        report = {
+            "command": command,
+            "params": params,
+            "result": result,
+            "version": __version__,
+            "timing": {"seconds": round(time.monotonic() - started, 6)},
+        }
+        if nodes is not None:
+            report["nodes"] = nodes
+        print(json.dumps(report, sort_keys=True))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

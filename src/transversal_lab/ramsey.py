@@ -201,21 +201,21 @@ def verify_ramsey_33() -> bool:
 def dr_bounds(
     n: int,
     m: int,
-    table: Optional[RamseyTable] = None,
     known: Optional[dict[tuple[int, int], int]] = None,
 ) -> tuple[int, int]:
     """Tightest interval for dr(n, m) derivable without searching.
 
     Combines the base cases dr(n,1) = dr(1,m) = 1, the recurrence
-    dr(n,m) <= 2 dr(n-1,m) + dr(n,m-1) - 1, the sandwich
-    R(n,m) <= dr(n,m) <= R(n,n,m), the m = 2 power bounds
+    dr(n,m) <= 2 dr(n-1,m) + dr(n,m-1) - 1, the lower sandwich
+    R(n,m) <= dr(n,m) from RamseyTable.default(), the m = 2 power bounds
     2^((n-1)/2) <= dr(n,2) <= 2^(n-1), monotonicity in both arguments,
-    and any exact values supplied in `known`.
+    and any exact values supplied in `known`.  The upper sandwich
+    dr(n,m) <= R(n,n,m) is left out: the table's one such entry,
+    R(3,3,3) = 17, is above the recurrence's 9 at (3,3).
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    if table is None:
-        table = RamseyTable.default()
+    table = RamseyTable.default()
     known = known or {}
     memo: dict[tuple[int, int], tuple[int, int]] = {}
 
@@ -229,7 +229,6 @@ def dr_bounds(
             v = known[(a, b)]
             memo[(a, b)] = (v, v)
             return (v, v)
-        memo[(a, b)] = (2, 1 << 62)  # provisional, breaks cycles
         lo_left, hi_left = bound(a - 1, b)
         lo_down, hi_down = bound(a, b - 1)
         hi = 2 * hi_left + hi_down - 1
@@ -237,9 +236,6 @@ def dr_bounds(
         entry = table.lookup(a, b)
         if entry is not None:
             lo = max(lo, entry[0])
-        entry = table.lookup(a, a, b)
-        if entry is not None:
-            hi = min(hi, entry[1])
         if b == 2:
             # ceil(sqrt(2^(a-1))) in exact integer arithmetic
             lo = max(lo, math.isqrt((1 << (a - 1)) - 1) + 1)
@@ -585,7 +581,6 @@ def search_dr(
     node_budget: Optional[int] = None,
     time_budget: Optional[float] = None,
     probe: bool = True,
-    known: Optional[dict[tuple[int, int], int]] = None,
 ) -> DrResult:
     """Compute dr(n, m) exactly, or bound it as tightly as the budget allows.
 
@@ -594,10 +589,7 @@ def search_dr(
     certificates; (2) exhaustive isomorph-free enumeration by increasing
     order, which proves exactness when an empty level is reached; (3) bound
     arithmetic to close or report the remaining gap.  One budget bounds
-    all phases; annealer moves and extender nodes count as nodes.  Exact
-    values supplied in `known` feed the
-    bounds only for strictly smaller parameter pairs, so the search cannot
-    be short-circuited by its own target.
+    all phases; annealer moves and extender nodes count as nodes.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
@@ -607,8 +599,7 @@ def search_dr(
     if n == 1 or m == 1:
         return DrResult(n, m, 1, 1, True, None, "bound-table")
 
-    known = {k: v for k, v in (known or {}).items() if k != (n, m)}
-    _, hi_bound = dr_bounds(n, m, known=known)
+    _, hi_bound = dr_bounds(n, m)
     # searching past hi_bound is provably futile: the first empty level
     # arrives at dr(n, m) <= hi_bound, and heredity ends the run there
     search_cap = hi_bound if max_order is None else min(max_order, hi_bound)

@@ -63,6 +63,8 @@ class NEstimate:
 
     A verified counterexample (K_n-free, r equal classes of size
     class_size, no transversal) implies N(n, m, l) > class_size.
+    `budget_stopped` counts the candidates whose search stopped on its
+    node budget: they are evidence neither way.
     """
 
     n: int
@@ -71,6 +73,7 @@ class NEstimate:
     r: int
     class_size: int
     candidates_tried: int
+    budget_stopped: int
     best_counterexample: Optional[PartitionedGraph]
 
     @property
@@ -259,13 +262,15 @@ def estimate_N(
     additionally perturbs candidates by edge flips that keep the graph
     K_n-free while removing cross-class non-edges (shrinking the solver's
     freedom).  Absence of a counterexample is an observation, not an error.
+    Each candidate's search gets its own `node_budget`; one that stops on
+    it is counted in `budget_stopped` and proves nothing either way.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if strategy not in ("random", "local-search"):
         raise ValueError("strategy must be 'random' or 'local-search'")
     rng = random.Random(rng_seed)
-    tried = 0
+    tried = stopped = 0
     for _ in range(candidates):
         tried += 1
         d = _random_transitive_free_digraph(r, n, rng)
@@ -277,8 +282,9 @@ def estimate_N(
             continue
         res = find_transversal(candidate, m, ell, node_budget=node_budget)
         if res.status == "none":
-            return NEstimate(n, m, ell, r, class_size, tried, candidate)
-    return NEstimate(n, m, ell, r, class_size, tried, None)
+            return NEstimate(n, m, ell, r, class_size, tried, stopped, candidate)
+        stopped += res.status == "budget"
+    return NEstimate(n, m, ell, r, class_size, tried, stopped, None)
 
 
 def _harden_candidate(

@@ -25,7 +25,7 @@ from transversal_lab.graphs import (
     mask_of,
 )
 from transversal_lab.ortho import AlphaSearchResult, VectorFamily, dot
-from transversal_lab.ramsey import _annealing_energy
+from transversal_lab.ramsey import RamseyTable, _annealing_energy
 
 
 def naive_has_transitive(d: BitDigraph, n: int) -> bool:
@@ -404,3 +404,46 @@ def reference_alpha_lower_search(n: int, m: int, pool, *, node_budget=None):
     branch(0, 0, 0)
     family = VectorFamily(n, tuple(vecs[i] for i in bits(best_mask)))
     return AlphaSearchResult(family, not budget_hit, nodes)
+
+
+def reference_dr_bounds(n: int, m: int, known=None) -> tuple[int, int]:
+    """The interval arithmetic that `dr_bounds` replaced: it also capped
+    each upper bound with the table's R(a, a, b) entry and seeded the memo
+    with a provisional interval before recursing.  `dr_bounds` must return
+    the same interval."""
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
+    table = RamseyTable.default()
+    known = known or {}
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def bound(a: int, b: int) -> tuple[int, int]:
+        if (a, b) in memo:
+            return memo[(a, b)]
+        if a == 1 or b == 1:
+            memo[(a, b)] = (1, 1)
+            return (1, 1)
+        if (a, b) in known:
+            v = known[(a, b)]
+            memo[(a, b)] = (v, v)
+            return (v, v)
+        memo[(a, b)] = (2, 1 << 62)
+        lo_left, hi_left = bound(a - 1, b)
+        lo_down, hi_down = bound(a, b - 1)
+        hi = 2 * hi_left + hi_down - 1
+        lo = max(a, b, lo_left, lo_down)
+        entry = table.lookup(a, b)
+        if entry is not None:
+            lo = max(lo, entry[0])
+        entry = table.lookup(a, a, b)
+        if entry is not None:
+            hi = min(hi, entry[1])
+        if b == 2:
+            lo = max(lo, math.isqrt((1 << (a - 1)) - 1) + 1)
+            hi = min(hi, 1 << (a - 1))
+        if lo > hi:
+            raise AssertionError(f"inconsistent dr bounds for ({a},{b}): [{lo},{hi}]")
+        memo[(a, b)] = (lo, hi)
+        return (lo, hi)
+
+    return bound(n, m)

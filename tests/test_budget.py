@@ -17,7 +17,7 @@ from transversal_lab.embedding import (
 from transversal_lab.graphs import Budget, UGraph
 from transversal_lab.ortho import alpha_lower_search, directions_of_height
 from transversal_lab.ramsey import search_dr
-from transversal_lab.transversal import find_transversal
+from transversal_lab.transversal import estimate_N, find_transversal
 
 
 class TestBudget:
@@ -144,3 +144,14 @@ def test_zero_budget_is_a_limit(entry):
     outcome, nodes, reason = run(0)
     assert reason == "nodes" and nodes in (None, 1)
     assert outcome != run(None)[0]
+
+
+def test_estimate_n_counts_budget_stops():
+    # unbudgeted, the first candidate already has no transversal; with a
+    # zero budget every search stops, and a stop is evidence neither way
+    est = estimate_N(3, 3, 2, 3, r=3, candidates=10, rng_seed=0)
+    assert (est.candidates_tried, est.budget_stopped) == (1, 0)
+    assert est.implies_n_above == 3
+    est = estimate_N(3, 3, 2, 3, r=3, candidates=10, rng_seed=0, node_budget=0)
+    assert (est.candidates_tried, est.budget_stopped) == (10, 10)
+    assert est.best_counterexample is None

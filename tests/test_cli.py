@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from transversal_lab import __version__
 from transversal_lab.cli import main
 from transversal_lab.codec import decode_graph6, encode_digraph6, encode_graph6
 from transversal_lab.constructions import half_graph, tensor
@@ -284,6 +285,119 @@ class TestSolverCommands:
         code, rep = run_json(capsys, *args)
         assert rep["result"]["exact_over_pool"] is True
         assert rep["result"]["budget_reason"] is None
+
+
+def write_inputs(tmp_path):
+    """half_graph(3) as h.g6 + h.json, a one-edge pattern p.json, a vector
+    family fam.json and the directed 3-cycle c3.d6, all in tmp_path."""
+    pg = half_graph(3)
+    (tmp_path / "h.g6").write_text(encode_graph6(pg.graph) + "\n")
+    (tmp_path / "h.json").write_text(pg.classes_json())
+    (tmp_path / "p.json").write_text(json.dumps({"left": 1, "right": 1, "edges": [[0, 0]]}))
+    (tmp_path / "fam.json").write_text(json.dumps([[1, 0], [0, 1], [1, 1], [1, -1]]))
+    (tmp_path / "c3.d6").write_text(encode_digraph6(circulant_digraph(3, [1])) + "\n")
+
+
+# one whole report per report command, timing aside: a changed key, value
+# or top-level nodes count fails here
+PINNED_REPORTS = {
+    "dr bounds": (
+        ["dr", "bounds", "--n", "3", "--m", "4"],
+        {"command": "dr bounds", "params": {"m": 4, "n": 3},
+         "result": {"exact": False, "lower": 9, "upper": 16}},
+    ),
+    "dr compute": (
+        ["dr", "compute", "--n", "3", "--m", "2"],
+        {"command": "dr compute", "nodes": 5,
+         "params": {"budget_nodes": 5000000, "budget_secs": None, "m": 2, "max_order": None,
+                    "n": 3, "probe": True},
+         "result": {"budget_hit": False, "budget_reason": None, "certificate": "&BP_",
+                    "certificate_order": 3, "exact": True, "level_counts": [1, 2, 1, 0],
+                    "lower": 4, "proof_method": "exhaustive", "upper": 4, "value": 4}},
+    ),
+    "ortho check": (
+        ["ortho", "check", "--family", "fam.json", "--dim", "2", "--m", "2"],
+        {"command": "ortho check", "params": {"dim": 2, "family": "fam.json", "m": 2},
+         "result": {"family_size": 4, "ok": True}},
+    ),
+    "ortho search": (
+        ["ortho", "search", "--dim", "2", "--m", "2", "--pool-height", "1"],
+        {"command": "ortho search", "nodes": 9,
+         "params": {"budget_nodes": None, "dim": 2, "m": 2, "pool": None, "pool_height": 1},
+         "result": {"alpha_lower": 4, "budget_reason": None, "exact_over_pool": True,
+                    "family": [[0, 1], [1, -1], [1, 0], [1, 1]], "pool_size": 4}},
+    ),
+    "transversal solve": (
+        ["transversal", "solve", "--graph", "h.g6", "--classes", "h.json", "--m", "2", "--ell", "1"],
+        {"command": "transversal solve", "nodes": 2,
+         "params": {"budget_nodes": None, "classes": "h.json", "ell": 1, "graph": "h.g6", "m": 2},
+         "result": {"budget_reason": None, "exact": True, "nodes_explored": 2, "profile": [1, 1],
+                    "status": "found", "witness": [0, 3]}},
+    ),
+    "embed halforder": (
+        ["embed", "halforder", "--graph", "h.g6", "--classes", "h.json"],
+        {"command": "embed halforder", "nodes": 6,
+         "params": {"budget_nodes": None, "classes": "h.json", "exact_cap": 6, "graph": "h.g6"},
+         "result": {"a_sequence": [0, 1, 2], "b_sequence": [3, 4, 5], "budget_reason": None,
+                    "exact": True, "order": 3}},
+    ),
+    "embed balanced": (
+        ["embed", "balanced", "--graph", "h.g6", "--classes", "h.json", "--pattern", "p.json"],
+        {"command": "embed balanced", "nodes": 3,
+         "params": {"budget_nodes": None, "classes": "h.json", "graph": "h.g6", "pattern": "p.json"},
+         "result": {"budget_reason": None, "exact": True, "found": True, "left_images": [0],
+                    "right_images": [4], "side_assignment": [0, 1]}},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_pinned_report(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    argv, expected = PINNED_REPORTS[name]
+    code, rep = run_json(capsys, *argv)
+    assert code == 0
+    assert set(rep["timing"]) == {"seconds"}
+    assert stripped(rep) == {**expected, "version": __version__}
+
+
+_SOLVE = ["transversal", "solve", "--m", "2", "--ell", "1"]
+
+# each command reads the file "bad" (written with the given text, or left
+# missing for None) where a good input file would go
+MALFORMED_INPUTS = {
+    "classes without a classes key": ([*_SOLVE, "--graph", "h.g6", "--classes", "bad"], '{"foo": 1}'),
+    "malformed classes JSON": ([*_SOLVE, "--graph", "h.g6", "--classes", "bad"], '{"classes": [[0'),
+    "classes that miss a vertex": (
+        [*_SOLVE, "--graph", "h.g6", "--classes", "bad"], '{"classes": [[0, 1, 2], [3, 4]]}'
+    ),
+    "empty graph6 file": ([*_SOLVE, "--graph", "bad", "--classes", "h.json"], ""),
+    "empty digraph6 file": (["gen", "layered", "--digraph", "bad", "--depth", "2"], ""),
+    "vector file holding a number": (
+        ["ortho", "check", "--family", "bad", "--dim", "2", "--m", "2"], "5"
+    ),
+    "pattern without right": (
+        ["embed", "balanced", "--graph", "h.g6", "--classes", "h.json", "--pattern", "bad"],
+        '{"left": 1, "edges": [[0, 0]]}',
+    ),
+    "missing input file": ([*_SOLVE, "--graph", "bad", "--classes", "h.json"], None),
+    "unwritable out path": (["gen", "half", "--k", "2", "--out", "bad/half"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_bad_input_file_is_3(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    argv, text = MALFORMED_INPUTS[name]
+    if text is not None:
+        (tmp_path / "bad").write_text(text)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "bad" in line
 
 
 class TestExitCodes:

@@ -26,6 +26,7 @@ from oracles import (
     all_labelled_digraphs,
     good_labelled_digraphs_3_3,
     naive_good,
+    reference_dr_bounds,
     reference_local_search,
 )
 
@@ -196,6 +197,16 @@ class TestDrBounds:
     def test_known_exact_value_used(self):
         lo, hi = dr_bounds(3, 4, known={(3, 3): 9})
         assert hi <= 2 * 4 + 9 - 1
+
+    @pytest.mark.parametrize(
+        "known", [None, {(3, 2): 4, (4, 2): 8, (3, 3): 9, (2, 5): 5}], ids=["bare", "known"]
+    )
+    def test_matches_reference(self, known):
+        # dropping the R(n, n, m) cap and the provisional memo entry moves
+        # no interval
+        for n in range(1, 12):
+            for m in range(1, 12):
+                assert dr_bounds(n, m, known=known) == reference_dr_bounds(n, m, known=known), (n, m)
 
     def test_interval_always_consistent(self):
         for n in range(1, 6):
