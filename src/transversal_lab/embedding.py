@@ -111,6 +111,8 @@ def half_graph_order(
     beyond; nonempty sides always certify order >= 1 since the single
     pair carries no required edge.
     """
+    if exact_cap < 0:
+        raise ValueError("exact_cap must be >= 0")
     return _half_graph_order(g, mask_of(a), mask_of(b), exact_cap, Budget(node_budget))
 
 

@@ -217,6 +217,8 @@ def alpha_lower_search(
 def directions_of_height(n: int, height: int) -> VectorFamily:
     """All canonical directions in dimension n with entries in
     [-height, height]."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if height < 1:
         raise ValueError("height must be >= 1")
     seen = set()

@@ -24,20 +24,22 @@ an empty level proves no larger counterexample exists.
 
 Two construction probes run before the general search.  Translation is
 an automorphism of a circulant digraph on Z_q, so it has a transitive
-n-tuple or an independent m-set iff it has one starting at vertex 0;
-scanning difference sets this way yields deep counterexamples
-(Ramsey-style cyclic lower bounds) that pure vertex-by-vertex search
-cannot reach at desk scale.  On top of that, for n = 3 a deterministic
-annealing walk over pair states hunts counterexamples at orders beyond
-the best circulant; 2-cycles cannot matter there, because a transitive
-triple needs all three of its pairs arced.  A triple with all three pairs
-arced and no 2-cycle is transitive unless it is a 3-cycle, so one move
-loop prices a move from bit counts of the endpoints' out, in and
-non-adjacency rows: the common neighbours less the pair's 3-cycles, plus
-one independent-set count when the pair gains or loses adjacency.  The
-rows are local lists updated in place by XOR.  Probe output is re-verified
-by the generic predicates before use, so probe results carry the same
-trust as enumerated ones.
+n-tuple or an independent m-set iff it has one starting at vertex 0.
+Dropping one difference of a pair {d, q-d} holding both keeps a good
+circulant good (Lemma (a) in probe_circulants), so the scan offers each
+pair none, d or q-d, and only d or q-d when m = 2.  It yields deep
+counterexamples (Ramsey-style cyclic lower bounds) that pure
+vertex-by-vertex search cannot reach at desk scale.  On top of that, for
+n = 3 a deterministic annealing walk over pair states hunts
+counterexamples at orders beyond the best circulant; 2-cycles cannot
+matter there, because a transitive triple needs all three of its pairs
+arced.  A triple with all three pairs arced and no 2-cycle is transitive
+unless it is a 3-cycle, so one move loop prices a move from bit counts
+of the endpoints' out, in and non-adjacency rows: the common neighbours
+less the pair's 3-cycles, plus one independent-set count when the pair
+gains or loses adjacency.  The rows are local lists updated in place by
+XOR.  Probe output is re-verified by the generic predicates before use,
+so probe results carry the same trust as enumerated ones.
 """
 
 from __future__ import annotations
@@ -217,35 +219,29 @@ def dr_bounds(
         raise ValueError("n and m must be >= 1")
     table = RamseyTable.default()
     known = known or {}
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def bound(a: int, b: int) -> tuple[int, int]:
-        if (a, b) in memo:
-            return memo[(a, b)]
-        if a == 1 or b == 1:
-            memo[(a, b)] = (1, 1)
-            return (1, 1)
-        if (a, b) in known:
-            v = known[(a, b)]
-            memo[(a, b)] = (v, v)
-            return (v, v)
-        lo_left, hi_left = bound(a - 1, b)
-        lo_down, hi_down = bound(a, b - 1)
-        hi = 2 * hi_left + hi_down - 1
-        lo = max(a, b, lo_left, lo_down)
-        entry = table.lookup(a, b)
-        if entry is not None:
-            lo = max(lo, entry[0])
-        if b == 2:
-            # ceil(sqrt(2^(a-1))) in exact integer arithmetic
-            lo = max(lo, math.isqrt((1 << (a - 1)) - 1) + 1)
-            hi = min(hi, 1 << (a - 1))
-        if lo > hi:
-            raise AssertionError(f"inconsistent dr bounds for ({a},{b}): [{lo},{hi}]")
-        memo[(a, b)] = (lo, hi)
-        return (lo, hi)
-
-    return bound(n, m)
+    # one pass over the grid 1 <= a <= n, 1 <= b <= m, where row a = 1 and
+    # column b = 1 are (1, 1): row[b] holds (a - 1, b) until (a, b)
+    # overwrites it, and row[b - 1] then holds (a, b - 1)
+    row = [(1, 1)] * (m + 1)
+    for a in range(2, n + 1):
+        for b in range(2, m + 1):
+            if (a, b) in known:
+                row[b] = (known[a, b], known[a, b])
+                continue
+            (lo_left, hi_left), (lo_down, hi_down) = row[b], row[b - 1]
+            hi = 2 * hi_left + hi_down - 1
+            lo = max(a, b, lo_left, lo_down)
+            entry = table.lookup(a, b)
+            if entry is not None:
+                lo = max(lo, entry[0])
+            if b == 2:
+                # ceil(sqrt(2^(a-1))) in exact integer arithmetic
+                lo = max(lo, math.isqrt((1 << (a - 1)) - 1) + 1)
+                hi = min(hi, 1 << (a - 1))
+            if lo > hi:
+                raise AssertionError(f"inconsistent dr bounds for ({a},{b}): [{lo},{hi}]")
+            row[b] = (lo, hi)
+    return row[m]
 
 
 # ---------------------------------------------------------------------------
@@ -390,60 +386,54 @@ def enumerate_good_classes(
 
 
 def circulant_digraph(q: int, diffs: Iterable[int]) -> BitDigraph:
-    """Digraph on Z_q with an arc i -> i + d (mod q) for every d in diffs."""
-    ds = sorted({d % q for d in diffs} - {0})
-    out = [0] * q
-    for i in range(q):
-        for d in ds:
-            out[i] |= 1 << ((i + d) % q)
-    return BitDigraph(q, out)
-
-
-def _circulant_is_good(q: int, diffs: Iterable[int], n: int, m: int) -> bool:
-    """True iff circulant_digraph(q, diffs) has no transitive n-tuple and no
-    independent m-set, searched from vertex 0 on rows rotated from its own."""
-    full = (1 << q) - 1
-    out0 = in0 = 0
+    """Digraph on Z_q with an arc i -> i + d (mod q) for every d in diffs;
+    d = 0 adds none.  Row i is row 0 rotated by i."""
+    out0 = 0
     for d in diffs:
-        out0 |= 1 << d
-        in0 |= 1 << (q - d)  # d -> 0
-    rows = [((out0 << i) | (out0 >> (q - i))) & full for i in range(q)]
-    if find_transitive_in(rows, out0, n - 1) is not None:
+        out0 |= 1 << (d % q)
+    out0 &= ~1
+    full = (1 << q) - 1
+    return BitDigraph(q, [((out0 << i) | (out0 >> (q - i))) & full for i in range(q)])
+
+
+def _circulant_is_good(d: BitDigraph, n: int, m: int) -> bool:
+    """True iff the circulant d has no transitive n-tuple and no independent
+    m-set.  Translation is an automorphism of d, as of every Cayley digraph,
+    so such a tuple can be moved to start at vertex 0 and such a set to hold
+    it: only out[0] and the non-neighbours of 0 are searched."""
+    if find_transitive_in(d.out, d.out[0], n - 1) is not None:
         return False
-    na0 = full ^ (out0 | in0 | 1)
-    na_rows = [((na0 << i) | (na0 >> (q - i))) & full for i in range(q)]
-    return find_clique_in(na_rows, na0, m - 1) is None
+    na = d.nonadjacency_masks()
+    return find_clique_in(na, na[0], m - 1) is None
 
 
 def probe_circulants(
-    n: int, m: int, max_q: int, *, min_q: int = 2, budget: Optional[Budget] = None
+    n: int, m: int, max_q: int, *, budget: Optional[Budget] = None
 ) -> Optional[BitDigraph]:
-    """Deepest good circulant digraph with order in [min_q, max_q], if any.
+    """Deepest good circulant digraph of order at most max_q, if any.
 
-    Scans every way of taking each difference pair {d, q-d} as absent,
-    forward, backward, or doubled, in deterministic order; returns the
-    first good configuration at the largest feasible order, or None once
-    `budget` is hit; the clock is checked per configuration, no nodes spent.
+    Lemma (a): if differences D holding d and q-d give a good circulant, so
+    do D - {d} and D - {q-d}.  Dropping d deletes the arcs i -> i + d, but
+    the arcs from q-d still join each such pair, so every independent set
+    is unchanged; a transitive tuple of the smaller digraph uses only arcs
+    of the larger.  So each pair {d, q-d}, d < q/2, need only offer none
+    (written 0), d or q-d, and q/2 offers none or q/2: 3^8 * 2 = 13,122
+    configurations at q = 18, not 2^17.  For m = 2 none is left out, since
+    then {0, d} is an independent 2-set (256 configurations at q = 18).
+    Scans orders from max_q down, the first pair varying slowest; returns
+    the first good configuration at the largest order that has one, or
+    None once `budget` runs out of time (checked per configuration).
     """
-    for q in range(max_q, min_q - 1, -1):
-        half_pairs = [(d, q - d) for d in range(1, (q + 1) // 2)]
-        self_paired = q % 2 == 0 and q >= 2
-        state_ranges = [range(4)] * len(half_pairs)
-        if self_paired:
-            state_ranges = state_ranges + [range(2)]
-        for config in product(*state_ranges):
+    for q in range(max_q, 1, -1):
+        choices = [(0, d, q - d) if m > 2 else (d, q - d) for d in range(1, (q + 1) // 2)]
+        if q % 2 == 0:
+            choices.append((0, q // 2) if m > 2 else (q // 2,))
+        for diffs in product(*choices):
             if budget is not None and budget.out_of_time():
                 return None
-            diffs = []
-            for (d, dneg), st in zip(half_pairs, config):
-                if st & 1:
-                    diffs.append(d)
-                if st & 2:
-                    diffs.append(dneg)
-            if self_paired and config[-1]:
-                diffs.append(q // 2)
-            if _circulant_is_good(q, diffs, n, m):
-                return circulant_digraph(q, diffs)
+            c = circulant_digraph(q, diffs)
+            if _circulant_is_good(c, n, m):
+                return c
     return None
 
 
@@ -569,7 +559,8 @@ def probe_local_search(
 # ---------------------------------------------------------------------------
 
 
-# largest circulant order scanned; order q has 2^(q-1) difference sets
+# largest circulant order scanned; order q has 3^((q-1)//2) configurations,
+# times 2 when q is even (2^((q-1)//2) when m = 2): 13,122 at q = 18
 PROBE_MAX_ORDER = 18
 
 

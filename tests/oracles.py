@@ -10,22 +10,25 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations, permutations, product
+from typing import Iterable, Optional
 
 from transversal_lab.errors import VerificationError
 from transversal_lab.graphs import (
     BitDigraph,
+    Budget,
     UGraph,
     bits,
     count_cliques_in,
     digraph_independent,
     find_clique_in,
+    find_transitive_in,
     has_independent_set,
     has_transitive_set,
     is_independent,
     mask_of,
 )
 from transversal_lab.ortho import AlphaSearchResult, VectorFamily, dot
-from transversal_lab.ramsey import RamseyTable, _annealing_energy
+from transversal_lab.ramsey import RamseyTable, _annealing_energy, circulant_digraph
 
 
 def naive_has_transitive(d: BitDigraph, n: int) -> bool:
@@ -447,3 +450,53 @@ def reference_dr_bounds(n: int, m: int, known=None) -> tuple[int, int]:
         return (lo, hi)
 
     return bound(n, m)
+
+
+def reference_circulant_is_good(q: int, diffs: Iterable[int], n: int, m: int) -> bool:
+    """True iff circulant_digraph(q, diffs) has no transitive n-tuple and no
+    independent m-set, searched from vertex 0 on rows rotated from its own."""
+    full = (1 << q) - 1
+    out0 = in0 = 0
+    for d in diffs:
+        out0 |= 1 << d
+        in0 |= 1 << (q - d)  # d -> 0
+    rows = [((out0 << i) | (out0 >> (q - i))) & full for i in range(q)]
+    if find_transitive_in(rows, out0, n - 1) is not None:
+        return False
+    na0 = full ^ (out0 | in0 | 1)
+    na_rows = [((na0 << i) | (na0 >> (q - i))) & full for i in range(q)]
+    return find_clique_in(na_rows, na0, m - 1) is None
+
+
+def reference_probe_circulants(
+    n: int, m: int, max_q: int, *, min_q: int = 2, budget: Optional[Budget] = None
+) -> Optional[BitDigraph]:
+    """The four-state scan that `probe_circulants` replaced: deepest good
+    circulant digraph with order in [min_q, max_q], if any.
+
+    Scans every way of taking each difference pair {d, q-d} as absent,
+    forward, backward, or doubled, in deterministic order; returns the
+    first good configuration at the largest feasible order, or None once
+    `budget` is hit; the clock is checked per configuration, no nodes spent.
+    The lemma scan must reach the same largest order.
+    """
+    for q in range(max_q, min_q - 1, -1):
+        half_pairs = [(d, q - d) for d in range(1, (q + 1) // 2)]
+        self_paired = q % 2 == 0 and q >= 2
+        state_ranges = [range(4)] * len(half_pairs)
+        if self_paired:
+            state_ranges = state_ranges + [range(2)]
+        for config in product(*state_ranges):
+            if budget is not None and budget.out_of_time():
+                return None
+            diffs = []
+            for (d, dneg), st in zip(half_pairs, config):
+                if st & 1:
+                    diffs.append(d)
+                if st & 2:
+                    diffs.append(dneg)
+            if self_paired and config[-1]:
+                diffs.append(q // 2)
+            if reference_circulant_is_good(q, diffs, n, m):
+                return circulant_digraph(q, diffs)
+    return None

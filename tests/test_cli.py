@@ -86,6 +86,12 @@ class TestDrCommand:
         assert rep["result"]["lower"] == 9
         assert rep["result"]["upper"] == 16
 
+    def test_bounds_on_a_large_grid(self, capsys):
+        # used to exit 1 with a RecursionError
+        code, rep = run_json(capsys, "dr", "bounds", "--n", "600", "--m", "600")
+        assert code == 0
+        assert 1 <= rep["result"]["lower"] <= rep["result"]["upper"]
+
 
 class TestGenCommands:
     def test_half(self, capsys):
@@ -432,10 +438,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "extra, message",
-        [(["--m", "2", "--budget-nodes", "-1"], "node_budget must be >= 0"), (["--m", "0"], "m must be >= 1")],
+        [
+            (["--dim", "2", "--m", "2", "--budget-nodes", "-1"], "node_budget must be >= 0"),
+            (["--dim", "2", "--m", "0"], "m must be >= 1"),
+            (["--dim", "0", "--m", "1"], "n must be >= 1"),
+        ],
     )
     def test_bad_ortho_search_is_2(self, capsys, extra, message):
-        code = main(["ortho", "search", "--dim", "2", *extra])
+        code = main(["ortho", "search", *extra])
         assert code == 2
         assert message in capsys.readouterr().err
 
@@ -450,3 +460,11 @@ class TestExitCodes:
         assert code == 2
         captured = capsys.readouterr()
         assert "node_budget must be >= 0" in captured.err and captured.out == ""
+
+    def test_negative_exact_cap_is_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_inputs(tmp_path)
+        code = main(["embed", "halforder", "--graph", "h.g6", "--classes", "h.json", "--exact-cap", "-2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "exact_cap must be >= 0" in captured.err and captured.out == ""

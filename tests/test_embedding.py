@@ -54,6 +54,12 @@ class TestHalfGraphOrder:
         g = UGraph.empty(3)
         assert half_graph_order(g, [], [0, 1]).order == 0
 
+    def test_negative_exact_cap_rejected(self):
+        # exact_cap=-2 used to report order 0 on sides of order 4
+        pg = half_graph(4)
+        with pytest.raises(ValueError, match="exact_cap must be >= 0"):
+            half_graph_order(pg.graph, pg.classes[0], pg.classes[1], exact_cap=-2)
+
     def test_oracle_agreement(self):
         rng = random.Random(64)
         for _ in range(80):

@@ -109,6 +109,15 @@ class TestAlphaCheck:
             assert alpha_check(sub, 2)
 
 
+class TestDirectionsOfHeight:
+    @pytest.mark.parametrize(
+        "n, height, message", [(0, 1, "n must be >= 1"), (2, 0, "height must be >= 1")]
+    )
+    def test_empty_pool_rejected(self, n, height, message):
+        with pytest.raises(ValueError, match=message):
+            directions_of_height(n, height)
+
+
 class TestAlphaLowerSearch:
     def test_plane_pools_attain_2m(self):
         pool = directions_of_height(2, 3)

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from itertools import combinations, permutations, product
@@ -28,10 +29,17 @@ from oracles import (
     naive_good,
     reference_dr_bounds,
     reference_local_search,
+    reference_probe_circulants,
 )
 
 C3 = BitDigraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 TT3 = BitDigraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
+
+
+def naive_circulant_good(q, diffs, n, m):
+    """Goodness of circulant_digraph(q, diffs) on the generic predicates."""
+    c = circulant_digraph(q, diffs)
+    return not has_transitive_set(c, n) and not digraph_independent(c, m)
 
 
 class TestCheckCounterexample:
@@ -208,6 +216,10 @@ class TestDrBounds:
             for m in range(1, 12):
                 assert dr_bounds(n, m, known=known) == reference_dr_bounds(n, m, known=known), (n, m)
 
+    def test_deep_grid_needs_no_recursion(self):
+        # (1000, 2) used to exceed the interpreter's recursion limit
+        assert dr_bounds(1000, 2) == (math.isqrt((1 << 999) - 1) + 1, 1 << 999)
+
     def test_interval_always_consistent(self):
         for n in range(1, 6):
             for m in range(1, 6):
@@ -256,16 +268,44 @@ class TestCirculants:
         assert check_counterexample(best, 5, 2).reverify()
 
     def test_translation_check_matches_generic_predicates(self):
-        # every difference set the scan tries at q <= 9
+        # every difference set on Z_q for q <= 9
         for q in range(2, 10):
             for mask in range(1 << (q - 1)):
                 diffs = tuple(d for d in range(1, q) if (mask >> (d - 1)) & 1)
                 c = circulant_digraph(q, diffs)
                 for n in (3, 4, 5):
                     for m in (2, 3, 4):
-                        assert _circulant_is_good(q, diffs, n, m) == (
+                        assert _circulant_is_good(c, n, m) == (
                             not has_transitive_set(c, n) and not digraph_independent(c, m)
                         ), (q, diffs, n, m)
+
+    def test_dropping_one_of_a_doubled_pair_stays_good(self):
+        # Lemma (a), on the generic predicates: the scan offers no doubled pair
+        cases = 0
+        for q in range(3, 11):
+            for mask in range(1 << (q - 1)):
+                diffs = {d for d in range(1, q) if (mask >> (d - 1)) & 1}
+                doubled = [d for d in diffs if d < q - d and q - d in diffs]
+                for n in (3, 4):
+                    for m in (2, 3, 4):
+                        if not naive_circulant_good(q, diffs, n, m):
+                            continue
+                        for d in doubled:
+                            cases += 1
+                            assert naive_circulant_good(q, diffs - {d}, n, m), (q, diffs, d, n, m)
+                            assert naive_circulant_good(q, diffs - {q - d}, n, m), (q, diffs, d, n, m)
+        assert cases > 0
+
+    @pytest.mark.parametrize("n, m", list(product((3, 4, 5), (2, 3, 4))))
+    def test_lemma_scan_matches_four_state_reference(self, n, m):
+        # equal deepest orders for every max_q give the same orders with a
+        # good circulant as the scan over all 2^(q-1) difference sets
+        for q in range(2, 13):
+            got, ref = probe_circulants(n, m, q), reference_probe_circulants(n, m, q)
+            assert (got is None) == (ref is None), (n, m, q)
+            if got is not None:
+                assert got.order == ref.order, (n, m, q)
+                check_counterexample(got, n, m)
 
     def test_sum_free_paley_construction(self):
         # difference set {2, 5, 6} mod 13 is sum-free and its complement
@@ -275,8 +315,10 @@ class TestCirculants:
         assert not digraph_independent(d, 4)
 
     def test_no_good_circulant_on_14_for_3_4(self):
-        best = probe_circulants(3, 4, 14, min_q=14)
-        assert best is None
+        # all 2^13 difference sets on Z_14, without the lemma or vertex 0
+        for mask in range(1 << 13):
+            diffs = [d for d in range(1, 14) if (mask >> (d - 1)) & 1]
+            assert not naive_circulant_good(14, diffs, 3, 4), diffs
 
     def test_annealing_probe_reaches_order_14_for_3_4(self):
         # non-circulant territory: the annealer's fixed seed schedule
