@@ -125,7 +125,7 @@ def _cmd_dr_compute(args) -> Report:
         "lower": result.lower,
         "upper": result.upper,
         "exact": result.exact,
-        "value": result.lower if result.exact else None,
+        "value": result.value,
         "proof_method": result.proof_method,
         "certificate": cert_line,
         "certificate_order": result.certificate.order if result.certificate else None,
@@ -402,6 +402,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     started = time.monotonic()
     try:
         out = args.func(args)
+        line = None  # gen prints its own lines
+        if out is not None:
+            command, params, result, nodes = out
+            report = {
+                "command": command,
+                "params": params,
+                "result": result,
+                "version": __version__,
+                "timing": {"seconds": round(time.monotonic() - started, 6)},
+            }
+            if nodes is not None:
+                report["nodes"] = nodes
+            # an int past sys.get_int_max_str_digits() fails here, as a ValueError
+            line = json.dumps(report, sort_keys=True)
     except (OSError, MalformedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -411,18 +425,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (TransversalLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if out is not None:  # gen prints its own lines
-        command, params, result, nodes = out
-        report = {
-            "command": command,
-            "params": params,
-            "result": result,
-            "version": __version__,
-            "timing": {"seconds": round(time.monotonic() - started, 6)},
-        }
-        if nodes is not None:
-            report["nodes"] = nodes
-        print(json.dumps(report, sort_keys=True))
+    if line is not None:
+        print(line)
     return EXIT_OK
 
 

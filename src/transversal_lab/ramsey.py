@@ -10,17 +10,15 @@ transitive n-set, no independent m-set) order by order.  Each new vertex
 chooses one of {none, forward, backward, both} against every prior vertex,
 in that order; forward means the arc runs from the existing vertex to the
 new one.  Digraphs are bit rows throughout (out[v], in[v] and
-non-adjacency masks).  For n = 3 a state is refused as soon as it
-completes a transitive triple, tested with a few row operations against
-the masks F and B of prior vertices with an arc to and from the new
-vertex; n = 2 allows no arc; for n >= 4 each child is checked once at the
-leaf.  A state none is refused as soon as it completes an independent
-m-set through the new vertex.  Isomorph rejection
-keeps one representative per isomorphism class at every order: a candidate
-is expanded only when its canonical label has not been seen, so each
-unlabelled digraph is visited exactly once.  Goodness is hereditary under
-vertex deletion, which is what makes the level-by-level exhaustion sound:
-an empty level proves no larger counterexample exists.
+non-adjacency masks).  A state is refused as soon as it closes a
+transitive n-tuple through the new vertex, which one search for an
+(n-2)-tuple on three row masks decides for every n (_good_children), and
+a state none as soon as it completes an independent m-set.  Isomorph
+rejection keeps one representative per isomorphism class at every order:
+a candidate is expanded only when its canonical label has not been seen,
+so each unlabelled digraph is visited exactly once.  Goodness is
+hereditary under vertex deletion, which is what makes the level-by-level
+exhaustion sound: an empty level proves no larger counterexample exists.
 
 Two construction probes run before the general search.  Translation is
 an automorphism of a circulant digraph on Z_q, so it has a transitive
@@ -48,7 +46,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .canon import canonical_label
 from .errors import NotACounterexample, VerificationError
@@ -249,6 +247,20 @@ def dr_bounds(
 # ---------------------------------------------------------------------------
 
 
+def _transitive_from(out: Sequence[int], masks: Sequence[int], k: int) -> bool:
+    """True iff some transitive k-tuple (u_a -> u_b for a < b), k >= 2, has
+    u_1 in masks[p_1], ..., u_k in masks[p_k] with p_1 <= ... <= p_k."""
+    tail = 0  # the union of masks[p:]
+    for p in range(len(masks) - 1, -1, -1):
+        tail |= masks[p]
+        for u in bits(masks[p]):
+            if (tail & out[u]).bit_count() >= k - 1 and (
+                k == 2 or _transitive_from(out, [later & out[u] for later in masks[p:]], k - 1)
+            ):
+                return True
+    return False
+
+
 def _good_children(
     parent: BitDigraph, trans_n: Optional[int], indep_m: Optional[int]
 ) -> Iterator[BitDigraph]:
@@ -257,49 +269,48 @@ def _good_children(
     A DFS gives the new vertex v a pair state against the prior vertices in
     ascending index order, trying none < forward < backward < both, so the
     children come in lexicographic order of their state vectors.  F holds
-    the prior vertices with an arc to v, B those v has an arc to.  For n = 3 a
-    state on vertex i is refused when it completes a transitive triple
-    {j, i, v} with some j < i: forward (i -> v) when inn[i] & F or
-    out[i] & (F | B), backward (v -> i) when inn[i] & (F | B) or
-    out[i] & B, which covers the six orderings of the triple.  n = 2 allows
-    no arc at all.  For n >= 4 each child is checked at the leaf with the
-    generic transitive-set predicate.  Independent m-sets through v are
-    blocked as a non-neighbour is placed, via the set of prior vertices
-    given state none.
+    the prior vertices with an arc to v, B those v has an arc to.
+    Lemma: the parent is good, so a transitive n-tuple of a child passes
+    through v and reads (T1, v, T2), T1 in F and T2 in B; it is closed when
+    its largest prior vertex i gets its state.  If i -> v, its other n - 2
+    members form a transitive tuple drawn in order from inn[i] & F,
+    out[i] & F and out[i] & B; if v -> i, from inn[i] & F, inn[i] & B and
+    out[i] & B; and any such tuple closes one with i and v.  So forward is
+    refused when the first search finds a tuple, backward when the second
+    does, both when either does, and no child needs a leaf check: n = 2
+    refuses every arc, n = 3 an arc with any mask non-empty.  A state none
+    is refused when it completes an independent m-set through v, whose
+    other members all have state none.
     """
     k = parent.order
     out = parent.out
     inn = parent.in_masks()
     na = parent.nonadjacency_masks()
     new_bit = 1 << k
-    states = (0,) if trans_n == 2 else (0, 1, 2, 3)
-    triples = trans_n == 3
-    leaf_n = trans_n if trans_n is not None and trans_n > 3 else None
+    need = math.inf if trans_n is None else trans_n - 2  # tuple members besides i and v
 
     def rec(i: int, fwd: int, back: int, zset: int) -> Iterator[BitDigraph]:
         if i == k:
             rows = [row | new_bit if fwd >> j & 1 else row for j, row in enumerate(out)]
             rows.append(back)
-            child = BitDigraph(k + 1, rows)
-            if leaf_n is None or not has_transitive_set(child, leaf_n):
-                yield child
+            yield BitDigraph(k + 1, rows)
             return
         bit = 1 << i
-        for s in states:
-            if s == 0:
-                # would making i a non-neighbour complete an independent
-                # m-set through the new vertex?
-                if indep_m is None or find_clique_in(na, na[i] & zset, indep_m - 2) is None:
-                    yield from rec(i + 1, fwd, back, zset | bit)
-                continue
-            if triples and (
-                (s & 1 and (inn[i] & fwd or out[i] & (fwd | back)))
-                or (s & 2 and (inn[i] & (fwd | back) or out[i] & back))
-            ):
-                continue
-            yield from rec(
-                i + 1, fwd | bit if s & 1 else fwd, back | bit if s & 2 else back, zset
-            )
+        if indep_m is None or find_clique_in(na, na[i] & zset, indep_m - 2) is None:
+            yield from rec(i + 1, fwd, back, zset | bit)
+        before, into, outof, after = inn[i] & fwd, out[i] & fwd, inn[i] & back, out[i] & back
+        to_v = (before | into | after).bit_count() < need or (
+            need > 1 and not _transitive_from(out, (before, into, after), need)
+        )
+        from_v = (before | outof | after).bit_count() < need or (
+            need > 1 and not _transitive_from(out, (before, outof, after), need)
+        )
+        if to_v:
+            yield from rec(i + 1, fwd | bit, back, zset)
+        if from_v:
+            yield from rec(i + 1, fwd, back | bit, zset)
+        if to_v and from_v:
+            yield from rec(i + 1, fwd | bit, back | bit, zset)
 
     return rec(0, 0, 0, 0)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations, permutations, product
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from transversal_lab.errors import VerificationError
 from transversal_lab.graphs import (
@@ -139,6 +139,79 @@ def good_labelled_digraphs_3_3(order: int):
         if any(not any(out[v] & t for v in bits(t)) for t in triples):
             continue
         yield BitDigraph(order, out)
+
+
+def naive_transitive_from(out, masks, k: int) -> bool:
+    """Ordered-tuple scan: is there a transitive k-tuple (u_1, ..., u_k),
+    u_a -> u_b for a < b, whose members take mask indices that never go
+    down?  Each member takes the earliest mask at or after the previous
+    member's that holds it."""
+    for tup in permutations(range(len(out)), k):
+        if not all(out[a] >> b & 1 for x, a in enumerate(tup) for b in tup[x + 1 :]):
+            continue
+        p = 0
+        for u in tup:
+            while p < len(masks) and not masks[p] >> u & 1:
+                p += 1
+        if p < len(masks):
+            return True
+    return False
+
+
+def reference_good_children(
+    parent: BitDigraph, trans_n: Optional[int], indep_m: Optional[int]
+) -> Iterator[BitDigraph]:
+    """The three-path extender that `ramsey._good_children` replaced: the
+    good one-vertex extensions of a good parent, as digraphs.
+
+    A DFS gives the new vertex v a pair state against the prior vertices in
+    ascending index order, trying none < forward < backward < both, so the
+    children come in lexicographic order of their state vectors.  F holds
+    the prior vertices with an arc to v, B those v has an arc to.  For n = 3 a
+    state on vertex i is refused when it completes a transitive triple
+    {j, i, v} with some j < i: forward (i -> v) when inn[i] & F or
+    out[i] & (F | B), backward (v -> i) when inn[i] & (F | B) or
+    out[i] & B, which covers the six orderings of the triple.  n = 2 allows
+    no arc at all.  For n >= 4 each child is checked at the leaf with the
+    generic transitive-set predicate.  Independent m-sets through v are
+    blocked as a non-neighbour is placed, via the set of prior vertices
+    given state none.
+    """
+    k = parent.order
+    out = parent.out
+    inn = parent.in_masks()
+    na = parent.nonadjacency_masks()
+    new_bit = 1 << k
+    states = (0,) if trans_n == 2 else (0, 1, 2, 3)
+    triples = trans_n == 3
+    leaf_n = trans_n if trans_n is not None and trans_n > 3 else None
+
+    def rec(i: int, fwd: int, back: int, zset: int) -> Iterator[BitDigraph]:
+        if i == k:
+            rows = [row | new_bit if fwd >> j & 1 else row for j, row in enumerate(out)]
+            rows.append(back)
+            child = BitDigraph(k + 1, rows)
+            if leaf_n is None or not has_transitive_set(child, leaf_n):
+                yield child
+            return
+        bit = 1 << i
+        for s in states:
+            if s == 0:
+                # would making i a non-neighbour complete an independent
+                # m-set through the new vertex?
+                if indep_m is None or find_clique_in(na, na[i] & zset, indep_m - 2) is None:
+                    yield from rec(i + 1, fwd, back, zset | bit)
+                continue
+            if triples and (
+                (s & 1 and (inn[i] & fwd or out[i] & (fwd | back)))
+                or (s & 2 and (inn[i] & (fwd | back) or out[i] & back))
+            ):
+                continue
+            yield from rec(
+                i + 1, fwd | bit if s & 1 else fwd, back | bit if s & 2 else back, zset
+            )
+
+    return rec(0, 0, 0, 0)
 
 
 def naive_transversal_exists(pg, m: int, ell: int) -> bool:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -460,6 +461,21 @@ class TestExitCodes:
         assert code == 2
         captured = capsys.readouterr()
         assert "node_budget must be >= 0" in captured.err and captured.out == ""
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+    def test_bound_past_the_int_digit_limit_is_2(self, capsys):
+        # the upper end 2^19999 has 6,021 digits; serialising it used to fail
+        # after the command returned, exiting 1 with a traceback
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code = main(["dr", "bounds", "--n", "20000", "--m", "2"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and captured.out == ""
 
     def test_negative_exact_cap_is_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

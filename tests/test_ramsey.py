@@ -7,7 +7,7 @@ import pytest
 
 from transversal_lab.canon import canonical_label
 from transversal_lab.errors import NotACounterexample, VerificationError
-from transversal_lab.graphs import BitDigraph, digraph_independent, has_transitive_set
+from transversal_lab.graphs import BitDigraph, Budget, digraph_independent, has_transitive_set
 from transversal_lab.ramsey import (
         RamseyTable,
     _circulant_is_good,
@@ -27,7 +27,9 @@ from oracles import (
     all_labelled_digraphs,
     good_labelled_digraphs_3_3,
     naive_good,
+    naive_transitive_from,
     reference_dr_bounds,
+    reference_good_children,
     reference_local_search,
     reference_probe_circulants,
 )
@@ -474,3 +476,62 @@ class TestExtensionGenerator:
                     if naive_good(child, n_t, m_i)
                 ]
                 assert got == want, (n_t, m_i, parent.out)
+
+    def test_transitive_from_matches_tuple_scan(self):
+        from transversal_lab.ramsey import _transitive_from
+
+        rng = random.Random(2024)
+        answers = []
+        for _ in range(400):
+            order = rng.randint(2, 7)
+            out = [rng.getrandbits(order) & ~(1 << v) for v in range(order)]
+            masks = [rng.getrandbits(order) for _ in range(rng.randint(1, 3))]
+            k = rng.choice((2, 3, 4))
+            got = _transitive_from(out, masks, k)
+            assert got == naive_transitive_from(out, masks, k), (out, masks, k)
+            answers.append(got)
+        assert any(answers) and not all(answers)
+
+    @pytest.mark.parametrize("n_t, m_i", list(product(range(2, 7), (2, 3, 4))))
+    def test_matches_reference_extender(self, n_t, m_i):
+        # parents of orders 1 to 6, with and without a 2-cycle: the classes
+        # enumerated within 3,000 nodes, then seeded samples of the
+        # reference's children up to order 6
+        from transversal_lab.ramsey import _good_children
+
+        rng = random.Random(100 * n_t + m_i)
+
+        def sample(level):
+            cyclic = [d for d in level if has_two_cycle(d)]
+            acyclic = [d for d in level if not has_two_cycle(d)]
+            return rng.sample(cyclic, min(3, len(cyclic))) + rng.sample(acyclic, min(3, len(acyclic)))
+
+        levels = enumerate_good_classes(n_t, m_i, 6, budget=Budget(3_000)).levels
+        parents = [sample(level) for level in levels]
+        while len(parents) < 6 and parents[-1]:
+            parents.append(sample([c for p in parents[-1] for c in reference_good_children(p, n_t, m_i)]))
+        assert n_t == 2 or any(has_two_cycle(p) for level in parents for p in level)
+        refused = False
+        for parent in (p for level in parents for p in level):
+            got = [c.out for c in _good_children(parent, n_t, m_i)]
+            assert got == [c.out for c in reference_good_children(parent, n_t, m_i)], parent.out
+            refused |= len(got) < sum(1 for _ in _good_children(parent, None, m_i))
+        assert refused or n_t == 2 and m_i == 2, "the transitive rule refused nothing"
+
+
+@pytest.mark.parametrize(
+    "n, m, max_order, levels, nodes",
+    [
+        (5, 2, 6, (1, 2, 7, 42, 280, 2138), 15_783),
+        (4, 3, 5, (1, 3, 15, 168, 4404), 26_133),
+        (6, 2, 6, (1, 2, 7, 42, 582, 15496), 105_084),
+    ],
+)
+def test_through_v_rule_keeps_the_levels(n, m, max_order, levels, nodes):
+    # positive controls for n >= 4: the through-v rule still finds good
+    # digraphs at the deepest order searched, with the level counts and
+    # nodes of the leaf-check extender.  For (6,2) the rule searches for
+    # 4-tuples, which can first close at order 6
+    res = search_dr(n, m, probe=False, max_order=max_order)
+    assert (res.level_counts, res.nodes) == (levels, nodes)
+    assert res.certificate.order == max_order and res.certificate.reverify()
