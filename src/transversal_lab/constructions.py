@@ -57,6 +57,17 @@ class PartitionedGraph:
         return cls(graph, tuple(frozenset(c) for c in data["classes"]))
 
 
+def spread(mask: int, width: int) -> int:
+    """The integer with bit j * width set for each j in mask.
+
+    Block lemma: for a pattern p < 2**width, p * spread(mask, width) is p
+    copied into block j (bits j*width .. j*width + width - 1) for each j
+    in mask.  The shifted copies p << (j * width) occupy disjoint blocks,
+    so their sum has no carries and equals their union.
+    """
+    return mask_of(j * width for j in bits(mask))
+
+
 def layered_from_digraph(digraph: BitDigraph, depth: int) -> PartitionedGraph:
     """Layered blowup of a digraph: vertex set r x depth, classes the rows.
 
@@ -66,23 +77,26 @@ def layered_from_digraph(digraph: BitDigraph, depth: int) -> PartitionedGraph:
     layer indices by the second coordinate and read off a transitive
     tuple.  Vertex (i, s) is numbered i * depth + s, so each class is a
     contiguous block.
+
+    Each row is built in one step by the block lemma of `spread`: the
+    neighbours of (i, s) are the layers above s in every block j with
+    i -> j and the layers below s in every block j with j -> i, so its row
+    is later(s) * spread(out[i]) | earlier(s) * spread(in[i]), with
+    later(s) and earlier(s) the masks of the layers above and below s.
     """
     if digraph.order < 1:
         raise ValueError("digraph must have at least one vertex")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    r, t = digraph.order, depth
-    n_vertices = r * t
-    adj = [0] * n_vertices
-    for i in range(r):
-        for j in bits(digraph.out[i]):
-            for s in range(t):
-                for u in range(s + 1, t):
-                    a, b = i * t + s, j * t + u
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
-    graph = UGraph(n_vertices, adj)
-    classes = tuple(frozenset(range(i * t, (i + 1) * t)) for i in range(r))
+    t = depth
+    full = (1 << t) - 1
+    layers = [(full ^ ((2 << s) - 1), (1 << s) - 1) for s in range(t)]
+    adj = []
+    for out, inn in zip(digraph.out, digraph.in_masks()):
+        fwd, back = spread(out, t), spread(inn, t)
+        adj += [later * fwd | earlier * back for later, earlier in layers]
+    graph = UGraph(len(adj), adj)
+    classes = tuple(frozenset(range(i * t, (i + 1) * t)) for i in range(digraph.order))
     return PartitionedGraph(graph, classes)
 
 
@@ -126,20 +140,18 @@ def tensor(g: UGraph, h: UGraph) -> UGraph:
     Vertex (u, v) is numbered u * h.order + v.  tensor(K_n, E_t) blows each
     vertex of K_n into an independent set of size t; its independent sets
     are exactly the subsets of single fibers.
+
+    By the block lemma of `spread`, the fibers of u's neighbours in g form
+    the mask full * spread(g.adj[u]), with full the mask of one whole
+    fiber; row (u, v) adds h.adj[v] shifted into u's own fiber.
     """
     nh = h.order
-    n_vertices = g.order * nh
-    adj = [0] * n_vertices
-    for u in range(g.order):
-        base = u * nh
-        for v in range(nh):
-            row = 0
-            for w in bits(h.adj[v]):
-                row |= 1 << (base + w)
-            for u2 in bits(g.adj[u]):
-                row |= ((1 << nh) - 1) << (u2 * nh)
-            adj[base + v] = row
-    return UGraph(n_vertices, adj)
+    full = (1 << nh) - 1
+    adj = []
+    for u, row in enumerate(g.adj):
+        others = full * spread(row, nh)
+        adj.extend(others | h.adj[v] << (u * nh) for v in range(nh))
+    return UGraph(len(adj), adj)
 
 
 def shift_graph(n: int, big_n: int, *, vertex_cap: int = 100000) -> UGraph:

@@ -96,6 +96,15 @@ class UGraph:
 
     Invariants: no self-loops, adjacency is symmetric.  Both are enforced
     at construction time.
+
+    Half-triangle lemma: once no row has a bit outside 0..order-1 or on
+    the diagonal, the adjacency is symmetric iff (a) every upper entry
+    (bit u of row v, u > v) has its mirror (bit v of row u) and (b) the
+    rows hold exactly twice as many set bits as there are upper entries.
+    Mirroring is injective from upper to lower entries, so (a) gives at
+    least as many lower entries as upper ones, and (b) then leaves no
+    lower entry that is not a mirror.  The constructor checks (a) and (b)
+    and so visits each edge once, not twice.
     """
 
     __slots__ = ("order", "adj")
@@ -105,15 +114,27 @@ class UGraph:
             raise ValueError("order must be nonnegative")
         if len(adj) != order:
             raise ValueError("adjacency length must equal order")
+        entries = upper_entries = 0
         for v, row in enumerate(adj):
             if row >> order:
                 raise ValueError(f"vertex {v} has neighbours outside 0..{order - 1}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v in range(order):
-            for u in bits(adj[v]):
+            entries += row.bit_count()
+            upper = row >> (v + 1)
+            upper_entries += upper.bit_count()
+            while upper:
+                low = upper & -upper
+                u = v + low.bit_length()
                 if not (adj[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                upper ^= low
+        if entries != 2 * upper_entries:
+            v, u = next(
+                (v, u) for v in range(order) for u in bits(adj[v] & ((1 << v) - 1))
+                if not (adj[u] >> v) & 1
+            )
+            raise ValueError(f"asymmetric adjacency between {u} and {v}")
         self.order = order
         self.adj = tuple(adj)
 
@@ -159,8 +180,12 @@ class UGraph:
         return UGraph(self.order, [full ^ self.adj[v] ^ (1 << v) for v in range(self.order)])
 
     def induced(self, vertices: Iterable[int]) -> "UGraph":
-        """Subgraph induced by the given vertices, relabelled in ascending order."""
+        """Subgraph induced by the given vertices, relabelled in ascending
+        order; a vertex outside 0..order-1 raises ValueError."""
         verts = sorted(set(vertices))
+        for v in verts[:1] + verts[-1:]:
+            if not 0 <= v < self.order:
+                raise ValueError(f"vertex {v} outside 0..{self.order - 1}")
         pos = {v: i for i, v in enumerate(verts)}
         adj = [0] * len(verts)
         for i, v in enumerate(verts):

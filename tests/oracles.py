@@ -12,6 +12,7 @@ import random
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Optional
 
+from transversal_lab.constructions import PartitionedGraph
 from transversal_lab.errors import VerificationError
 from transversal_lab.graphs import (
     BitDigraph,
@@ -573,3 +574,76 @@ def reference_probe_circulants(
             if reference_circulant_is_good(q, diffs, n, m):
                 return circulant_digraph(q, diffs)
     return None
+
+
+def reference_layered_from_digraph(digraph: BitDigraph, depth: int) -> PartitionedGraph:
+    """The arc-by-arc loops that `constructions.layered_from_digraph`
+    replaced: layered blowup of a digraph, classes the rows.
+
+    Vertices (i, s) and (j, u) are adjacent iff the digraph has the arc
+    i -> j and s < u, or the arc j -> i and u < s.  If the digraph has no
+    transitive n-set the output is K_n-free: a clique would order its
+    layer indices by the second coordinate and read off a transitive
+    tuple.  Vertex (i, s) is numbered i * depth + s, so each class is a
+    contiguous block.
+    """
+    if digraph.order < 1:
+        raise ValueError("digraph must have at least one vertex")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    r, t = digraph.order, depth
+    n_vertices = r * t
+    adj = [0] * n_vertices
+    for i in range(r):
+        for j in bits(digraph.out[i]):
+            for s in range(t):
+                for u in range(s + 1, t):
+                    a, b = i * t + s, j * t + u
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+    graph = UGraph(n_vertices, adj)
+    classes = tuple(frozenset(range(i * t, (i + 1) * t)) for i in range(r))
+    return PartitionedGraph(graph, classes)
+
+
+def reference_tensor(g: UGraph, h: UGraph) -> UGraph:
+    """The bit-by-bit loops that `constructions.tensor` replaced: blowup
+    product on V(g) x V(h): (u, v) ~ (u', v') iff u = u' and vv' is an edge
+    of h, or uu' is an edge of g.
+
+    Vertex (u, v) is numbered u * h.order + v.  tensor(K_n, E_t) blows each
+    vertex of K_n into an independent set of size t; its independent sets
+    are exactly the subsets of single fibers.
+    """
+    nh = h.order
+    n_vertices = g.order * nh
+    adj = [0] * n_vertices
+    for u in range(g.order):
+        base = u * nh
+        for v in range(nh):
+            row = 0
+            for w in bits(h.adj[v]):
+                row |= 1 << (base + w)
+            for u2 in bits(g.adj[u]):
+                row |= ((1 << nh) - 1) << (u2 * nh)
+            adj[base + v] = row
+    return UGraph(n_vertices, adj)
+
+
+def naive_adjacency_faults(order: int, adj) -> set:
+    """Every fault of an adjacency list as a UGraph, by a full double scan:
+    ("range", v) for a row that is negative or has a bit at or above
+    order, ("loop", v) for a self-loop, and ("asym", u, v) with u < v for
+    a pair that only one of the two rows holds.  Empty iff the rows are a
+    loop-free symmetric adjacency."""
+    faults = set()
+    for v, row in enumerate(adj):
+        if row < 0 or row >= 1 << order:
+            faults.add(("range", v))
+        if row >> v & 1:
+            faults.add(("loop", v))
+    for u in range(order):
+        for v in range(u + 1, order):
+            if adj[u] >> v & 1 != adj[v] >> u & 1:
+                faults.add(("asym", u, v))
+    return faults

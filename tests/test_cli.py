@@ -122,6 +122,27 @@ class TestGenCommands:
         assert code == 0
         assert decode_graph6(out).order == 12
 
+    def test_layered_pinned_output(self, capsys, tmp_path):
+        # arcs 0->1, 1->0, 1->2, 2->3, 3->0: one 2-cycle
+        d6 = tmp_path / "d.d6"
+        d6.write_text("&CQ`_\n")
+        code, out = run(capsys, "gen", "layered", "--digraph", str(d6), "--depth", "4")
+        assert code == 0
+        assert out.splitlines() == [
+            "O?]uf??A?W@o[?KGAE?@o",
+            '{"classes": [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]}',
+        ]
+
+    def test_tensor_pinned_output(self, capsys, tmp_path):
+        # C_5 and the path on 3 vertices
+        (tmp_path / "g.g6").write_text("Dhc\n")
+        (tmp_path / "h.g6").write_text("Bg\n")
+        code, out = run(
+            capsys, "gen", "tensor", "--g", str(tmp_path / "g.g6"), "--h", str(tmp_path / "h.g6")
+        )
+        assert code == 0
+        assert out == r"Nn~gw{\?wF_\wFwF{Bg"
+
     def test_out_files(self, capsys, tmp_path):
         base = str(tmp_path / "rado")
         code, _ = run(capsys, "gen", "rado", "--depth", "6", "--out", base)

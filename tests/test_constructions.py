@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +15,7 @@ from transversal_lab.constructions import (
     partition_extension_witness,
     rado_partition_witness,
     shift_graph,
+    spread,
     tensor,
 )
 from transversal_lab.errors import CapExceeded
@@ -26,7 +28,7 @@ from transversal_lab.graphs import (
 )
 from transversal_lab.ramsey import circulant_digraph, enumerate_good_classes
 
-from oracles import naive_has_clique
+from oracles import naive_has_clique, reference_layered_from_digraph, reference_tensor
 
 C3 = circulant_digraph(3, [1])
 TT3 = BitDigraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
@@ -77,6 +79,42 @@ class TestLayered:
         assert sorted(pg.graph.edges()) == [(0, 3), (1, 2)]
 
 
+    def test_matches_reference_on_random_digraphs(self):
+        # every order 1..10 and depth 1..8, oriented and with 2-cycles
+        rng = random.Random(15)
+        cases = doubled = 0
+        for order in range(1, 11):
+            for depth in range(1, 9):
+                for p_both in (0.0, 0.3):
+                    arcs = []
+                    for i in range(order):
+                        for j in range(i + 1, order):
+                            x = rng.random()
+                            if x < p_both:
+                                arcs += [(i, j), (j, i)]
+                                doubled += 1
+                            elif x < 0.6:
+                                arcs.append(rng.choice([(i, j), (j, i)]))
+                    d = BitDigraph.from_arcs(order, arcs)
+                    got = layered_from_digraph(d, depth)
+                    want = reference_layered_from_digraph(d, depth)
+                    assert got.graph.adj == want.graph.adj, (order, depth, arcs)
+                    assert got.classes == want.classes
+                    cases += 1
+        assert cases == 160 and doubled > 0
+
+    def test_spread_copies_a_pattern_into_every_block(self):
+        rng = random.Random(7)
+        for width in range(1, 9):
+            for _ in range(20):
+                mask, p = rng.getrandbits(10), rng.getrandbits(width)
+                copies = 0
+                for j in range(10):
+                    if mask >> j & 1:
+                        copies |= p << (j * width)
+                assert p * spread(mask, width) == copies
+
+
 class TestBipartiteGenerators:
     def test_half_graph_3(self):
         pg = half_graph(3)
@@ -104,8 +142,6 @@ class TestTensor:
         assert tensor(UGraph.empty(1), h) == h
 
     def test_kn_tensor_empty_fibers_are_maximal_independent(self):
-        from itertools import combinations
-
         t = tensor(UGraph.complete(3), UGraph.empty(3))
         assert independence_number(t) == 3
         fibers = [set(range(3 * f, 3 * f + 3)) for f in range(3)]
@@ -121,6 +157,21 @@ class TestTensor:
                 )
                 if maximal:
                     assert set(sub) in fibers
+
+
+    def test_matches_reference_on_random_inputs(self):
+        rng = random.Random(15)
+
+        def random_graph(order):
+            return UGraph.from_edges(
+                order, [e for e in combinations(range(order), 2) if rng.random() < 0.5]
+            )
+
+        for g_order in range(7):
+            for h_order in range(7):
+                for _ in range(2):
+                    g, h = random_graph(g_order), random_graph(h_order)
+                    assert tensor(g, h).adj == reference_tensor(g, h).adj, (g.adj, h.adj)
 
 
 class TestShiftGraph:

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -22,6 +23,7 @@ from transversal_lab.graphs import (
 
 from oracles import (
     all_labelled_digraphs,
+    naive_adjacency_faults,
     naive_digraph_independent,
     naive_has_transitive,
     naive_max_independent,
@@ -64,6 +66,93 @@ class TestUGraphBasics:
         g = UGraph.cycle(5)
         sub = g.induced([0, 1, 2])
         assert sub.edges() == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("vertices", [[-1], [-1, 0], [5], [0, 5], [2, 7, 1]])
+    def test_induced_rejects_vertices_outside_the_graph(self, vertices):
+        with pytest.raises(ValueError, match="outside 0..4"):
+            UGraph.cycle(5).induced(vertices)
+
+
+def named_fault(message):
+    """The fault a UGraph construction error names, in the form of
+    naive_adjacency_faults."""
+    if m := re.fullmatch(r"vertex (\d+) has neighbours outside 0\.\.-?\d+", message):
+        return ("range", int(m[1]))
+    if m := re.fullmatch(r"self-loop at vertex (\d+)", message):
+        return ("loop", int(m[1]))
+    m = re.fullmatch(r"asymmetric adjacency between (\d+) and (\d+)", message)
+    assert m, message
+    u, v = sorted((int(m[1]), int(m[2])))
+    return ("asym", u, v)
+
+
+def random_symmetric_rows(order, rng):
+    adj = [0] * order
+    for u, v in combinations(range(order), 2):
+        if rng.random() < 0.4:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+def plant(adj, kind, rng):
+    """Plant one fault of the given kind in the rows, in place."""
+    order = len(adj)
+    v = rng.randrange(order)
+    if kind in ("upper only", "lower only"):
+        u, w = sorted(rng.sample(range(order), 2))
+        # the entry sits in row w (upper) or row u (lower); its mirror goes
+        row, col = (u, w) if kind == "upper only" else (w, u)
+        adj[row] |= 1 << col
+        adj[col] &= ~(1 << row)
+    elif kind == "self-loop":
+        adj[v] |= 1 << v
+    elif kind == "out of range":
+        adj[v] |= 1 << (order + rng.randrange(3))
+    else:
+        adj[v] = -1 - adj[v]
+
+
+FAULTS = ("upper only", "lower only", "self-loop", "out of range", "negative row")
+
+
+class TestUGraphCheck:
+    """UGraph accepts exactly the loop-free symmetric rows, and every
+    rejection names a real fault."""
+
+    def test_matches_full_scan_with_planted_faults(self):
+        rng = random.Random(15)
+        accepted = rejected = 0
+        for _ in range(1500):
+            order = rng.randint(0, 12)
+            adj = random_symmetric_rows(order, rng)
+            if order >= 2:
+                for kind in rng.sample(FAULTS, rng.randint(0, 2)):
+                    plant(adj, kind, rng)
+            faults = naive_adjacency_faults(order, adj)
+            try:
+                g = UGraph(order, adj)
+            except ValueError as exc:
+                assert faults, adj
+                assert named_fault(str(exc)) in faults, (adj, str(exc))
+                rejected += 1
+            else:
+                assert not faults, adj
+                assert g.adj == tuple(adj)
+                accepted += 1
+        assert accepted > 300 and rejected > 300
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_each_fault_alone_is_rejected_and_named(self, kind):
+        rng = random.Random(kind)
+        for _ in range(200):
+            order = rng.randint(2, 12)
+            adj = random_symmetric_rows(order, rng)
+            plant(adj, kind, rng)
+            faults = naive_adjacency_faults(order, adj)
+            with pytest.raises(ValueError) as info:
+                UGraph(order, adj)
+            assert named_fault(str(info.value)) in faults, (adj, str(info.value))
 
 
 class TestClique:
