@@ -186,12 +186,21 @@ def _search(out: Sequence[int], inn: Sequence[int], initial: list[int]) -> tuple
     return best_rows
 
 
-def canonical_label(d: BitDigraph) -> tuple[int, ...]:
+def canonical_label(d: BitDigraph, cells: Optional[Sequence[int]] = None) -> tuple[int, ...]:
     """Canonical out-rows: equal for two digraphs iff they are isomorphic.
 
     The rows are those of the canonical form, so `BitDigraph(len(label),
     list(label))` is a concrete representative of the class.  For digraph6
     text use `encode_digraph6(canonical_form(d))`.
+
+    `cells`, when given, is an ordered partition of the vertices (disjoint
+    vertex masks covering them, empty ones ignored) that the labelling must
+    respect: the label is that of the coloured digraph, with the vertices
+    of cell i before those of cell i + 1.  For partitions with equal cell
+    sizes, two labels are equal iff an isomorphism maps cell i onto cell i
+    for every i.  With cells [1 << v, rest] it is the label rooted at v,
+    equal for roots v and w of one digraph iff an automorphism maps v to w.
+    None means the unit partition.
     """
     n = d.order
     if n == 0:
@@ -199,7 +208,18 @@ def canonical_label(d: BitDigraph) -> tuple[int, ...]:
     out = d.out
     inn = d.in_masks()
     everything = (1 << n) - 1
-    cells = _refine(out, inn, [everything], [everything])
+    if cells is None:
+        cells = [everything]
+    else:
+        cells = [cell for cell in cells if cell]
+        union = 0
+        for cell in cells:
+            if cell & union:
+                raise ValueError("cells must be disjoint")
+            union |= cell
+        if union != everything:
+            raise ValueError("cells must cover every vertex")
+    cells = _refine(out, inn, cells, list(cells))
     if len(cells) == n:
         return _encode_rows(out, [cell.bit_length() - 1 for cell in cells])
     return _search(out, inn, cells)

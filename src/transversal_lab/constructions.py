@@ -32,8 +32,14 @@ class PartitionedGraph:
     classes: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        order = self.graph.order
         seen = 0
-        for cls in self.classes:
+        for index, cls in enumerate(self.classes):
+            for v in cls:
+                if not 0 <= v < order:
+                    raise ValueError(
+                        f"partition class {index} holds vertex {v}, not one of 0..{order - 1}"
+                    )
             m = mask_of(cls)
             if m & seen:
                 raise ValueError("partition classes overlap")

@@ -2,8 +2,8 @@
 on, and the node and time Budget every search spends from.
 
 Both graph kinds store neighbourhoods as Python int bitsets (bit v set means
-vertex v is a neighbour).  Values are immutable after construction and safe
-to share across workers; every operation on them is a pure function.
+vertex v is a neighbour).  Values are immutable after construction, and
+every operation on them is a pure function.
 
 Vertex sets are plain ints used as bitmasks internally; the public API
 accepts any iterable of vertex indices and converts.

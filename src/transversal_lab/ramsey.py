@@ -12,10 +12,13 @@ in that order; forward means the arc runs from the existing vertex to the
 new one.  Digraphs are bit rows throughout (out[v], in[v] and
 non-adjacency masks).  A state is refused as soon as it closes a
 transitive n-tuple through the new vertex, which one search for an
-(n-2)-tuple on three row masks decides for every n (_good_children), and
+(n-2)-tuple on three row masks decides for every n (_good_extensions), and
 a state none as soon as it completes an independent m-set.  Isomorph
-rejection keeps one representative per isomorphism class at every order:
-a candidate is expanded only when its canonical label has not been seen,
+rejection by canonical deletion keeps one representative per isomorphism
+class at every order: a child is kept only when its new vertex lies in
+its canonical orbit (greatest degrees, then neighbour key sums, then
+least rooted label), which degree counts decide for most children
+without a label, and once per class among the children of one parent,
 so each unlabelled digraph is visited exactly once.  Goodness is
 hereditary under vertex deletion, which is what makes the level-by-level
 exhaustion sound: an empty level proves no larger counterexample exists.
@@ -261,10 +264,19 @@ def _transitive_from(out: Sequence[int], masks: Sequence[int], k: int) -> bool:
     return False
 
 
-def _good_children(
+def _extend(parent: BitDigraph, fwd: int, back: int) -> BitDigraph:
+    """The parent plus a vertex v = parent.order with arcs i -> v for i in
+    fwd and v -> i for i in back."""
+    new_bit = 1 << parent.order
+    rows = [row | new_bit if fwd >> j & 1 else row for j, row in enumerate(parent.out)]
+    rows.append(back)
+    return BitDigraph(parent.order + 1, rows)
+
+
+def _good_extensions(
     parent: BitDigraph, trans_n: Optional[int], indep_m: Optional[int]
-) -> Iterator[BitDigraph]:
-    """The good one-vertex extensions of a good parent, as digraphs.
+) -> Iterator[tuple[int, int]]:
+    """The good one-vertex extensions of a good parent, as (F, B) masks.
 
     A DFS gives the new vertex v a pair state against the prior vertices in
     ascending index order, trying none < forward < backward < both, so the
@@ -286,14 +298,11 @@ def _good_children(
     out = parent.out
     inn = parent.in_masks()
     na = parent.nonadjacency_masks()
-    new_bit = 1 << k
     need = math.inf if trans_n is None else trans_n - 2  # tuple members besides i and v
 
-    def rec(i: int, fwd: int, back: int, zset: int) -> Iterator[BitDigraph]:
+    def rec(i: int, fwd: int, back: int, zset: int) -> Iterator[tuple[int, int]]:
         if i == k:
-            rows = [row | new_bit if fwd >> j & 1 else row for j, row in enumerate(out)]
-            rows.append(back)
-            yield BitDigraph(k + 1, rows)
+            yield fwd, back
             return
         bit = 1 << i
         if indep_m is None or find_clique_in(na, na[i] & zset, indep_m - 2) is None:
@@ -354,7 +363,26 @@ def enumerate_good_classes(
 
     Either constraint may be None (unconstrained).  Requires trans_n >= 2
     and indep_m >= 2 when given.  The outcome counts only the nodes spent
-    here from `budget`, which is unlimited when None.
+    here from `budget`, which is unlimited when None; every child of every
+    representative spends one node, whether or not it is labelled.
+
+    Level k + 1 keeps the children of level k that canonical deletion
+    accepts (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+    1998; see _canonical_children): a child C = P + v is accepted when v
+    lies in the canonical orbit of C, and accepted children of one P are
+    kept once per class.
+    Lemma (exactly once): let C from P and C' from P' be accepted and
+    isomorphic by f.  The canonical orbit is defined by isomorphism
+    invariants, so f maps that of C onto that of C', and some automorphism
+    of C' carries f(v) to v'.  So P = C - v is isomorphic to C' - v' = P',
+    and as the representatives of a level are pairwise non-isomorphic,
+    P = P'.  The per-parent rule keeps one of the two.
+    Lemma (every class found): take a good digraph X on k + 1 vertices and
+    a vertex w in its canonical orbit.  X - w is good, because goodness is
+    hereditary under vertex deletion, so it is isomorphic to a
+    representative P of level k.  _good_extensions(P) yields every good
+    extension of P, among them a copy of X with w in the place of the new
+    vertex, and the rule accepts that copy or an isomorphic one.
     """
     if max_order < 1:
         return EnumerationOutcome([], None, 0)
@@ -369,16 +397,9 @@ def enumerate_good_classes(
 
     order = 1
     while order < max_order and not budget.hit:
-        seen: set[tuple[int, ...]] = set()
         next_level: list[BitDigraph] = []
         for parent in levels[-1]:
-            for child in _good_children(parent, trans_n, indep_m):
-                label = canonical_label(child)
-                if label not in seen:
-                    seen.add(label)
-                    next_level.append(child)
-                if not budget.spend():
-                    break
+            next_level.extend(_canonical_children(parent, trans_n, indep_m, budget))
             if budget.hit:
                 break
         if budget.hit:
@@ -389,6 +410,104 @@ def enumerate_good_classes(
             empty_at = order
             break
     return EnumerationOutcome(levels, empty_at, budget.nodes - start_nodes)
+
+
+def _neighbour_sums(keys: Sequence[int], out_row: int, in_row: int) -> tuple[int, int]:
+    """The sums of `keys` over a vertex's out- and in-neighbours."""
+    return sum(keys[x] for x in bits(out_row)), sum(keys[x] for x in bits(in_row))
+
+
+def _rooted_label(d: BitDigraph, v: int) -> tuple[int, ...]:
+    """d's label rooted at v: equal for roots v and w iff an automorphism
+    of d maps v to w."""
+    root = 1 << v
+    return canonical_label(d, cells=[root, ((1 << d.order) - 1) ^ root])
+
+
+def _rigid(d: BitDigraph, keys: Sequence[int], inn: Sequence[int]) -> bool:
+    """True iff the identity is d's only automorphism, that is iff every
+    orbit is one vertex: no two vertices with the same key and neighbour
+    sums have equal rooted labels."""
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for u, key in enumerate(keys):
+        groups.setdefault((key, *_neighbour_sums(keys, d.out[u], inn[u])), []).append(u)
+    return all(
+        len(group) == 1 or len({_rooted_label(d, u) for u in group}) == len(group)
+        for group in groups.values()
+    )
+
+
+def _canonical_children(
+    parent: BitDigraph, trans_n: Optional[int], indep_m: Optional[int], budget: Budget
+) -> Iterator[BitDigraph]:
+    """One child per class among the good children C = parent + v that
+    have v in their canonical orbit; each child of the extender spends
+    one node of `budget`, and the walk stops when it is hit.
+
+    The key of a vertex is out-degree << 8 | in-degree.  The canonical
+    orbit of a digraph is the set of its vertices that are greatest by key,
+    then by neighbour sums (the sums of the keys of the out- and
+    in-neighbours), and among those have the least rooted label.  Each step
+    is an isomorphism invariant, and rooted labels at two vertices of one
+    digraph are equal iff an automorphism maps one to the other, so this is
+    one orbit of the automorphism group.  v is tested against the prior
+    vertices in that order, stopping at the first that beats it: keys come
+    from the parent's keys and v's arcs F and B before C is built, sums
+    only for the vertices whose key ties v's, and rooted labels only for
+    those whose sums tie too.
+    Two accepted children of the parent are isomorphic iff some
+    isomorphism fixes v (compose with an automorphism moving v within the
+    canonical orbit), that is iff their rooted labels at v are equal, and
+    then it restricts to an automorphism of the parent that carries one's
+    F and B to the other's.  So when the parent is rigid every accepted
+    child is new, and otherwise children are kept once per rooted label.
+    """
+    k = parent.order
+    inn = parent.in_masks()
+    keys = [row.bit_count() << 8 | col.bit_count() for row, col in zip(parent.out, inn)]
+    floor = max(keys)  # a prior vertex's key only grows
+    kept: Optional[set[tuple[int, ...]]] = None if _rigid(parent, keys, inn) else set()
+
+    def accept(fwd: int, back: int) -> Optional[BitDigraph]:
+        key = back.bit_count() << 8 | fwd.bit_count()
+        if key < floor:
+            return None
+        child_keys = [keys[u] + ((fwd >> u & 1) << 8) + (back >> u & 1) for u in range(k)]
+        if max(child_keys) > key:
+            return None
+        ties = [u for u in range(k) if child_keys[u] == key]
+        if ties:
+            child_keys.append(key)
+            sums = _neighbour_sums(child_keys, back, fwd)
+            tied = []
+            for u in ties:
+                other = _neighbour_sums(
+                    child_keys, parent.out[u] | (fwd >> u & 1) << k, inn[u] | (back >> u & 1) << k
+                )
+                if other > sums:
+                    return None
+                if other == sums:
+                    tied.append(u)
+            ties = tied
+        child = _extend(parent, fwd, back)
+        if kept is None and not ties:
+            return child
+        label = _rooted_label(child, k)
+        if any(_rooted_label(child, u) < label for u in ties):
+            return None
+        if kept is None:
+            return child
+        if label in kept:
+            return None
+        kept.add(label)
+        return child
+
+    for fwd, back in _good_extensions(parent, trans_n, indep_m):
+        child = accept(fwd, back)
+        if child is not None:
+            yield child
+        if not budget.spend():
+            return
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: ordered-tuple scans, subset
 enumeration, labelled exhaustion.  None of it shares code with the
-package's search implementations.
+package's search implementations; the one exception is the reference
+seen-set enumeration, which labels with the package's canonical_label,
+itself checked against brute-force isomorphism in test_canon.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import random
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Optional
 
+from transversal_lab.canon import canonical_label
 from transversal_lab.constructions import PartitionedGraph
 from transversal_lab.errors import VerificationError
 from transversal_lab.graphs import (
@@ -29,7 +32,12 @@ from transversal_lab.graphs import (
     mask_of,
 )
 from transversal_lab.ortho import AlphaSearchResult, VectorFamily, dot
-from transversal_lab.ramsey import RamseyTable, _annealing_energy, circulant_digraph
+from transversal_lab.ramsey import (
+    EnumerationOutcome,
+    RamseyTable,
+    _annealing_energy,
+    circulant_digraph,
+)
 
 
 def naive_has_transitive(d: BitDigraph, n: int) -> bool:
@@ -162,7 +170,7 @@ def naive_transitive_from(out, masks, k: int) -> bool:
 def reference_good_children(
     parent: BitDigraph, trans_n: Optional[int], indep_m: Optional[int]
 ) -> Iterator[BitDigraph]:
-    """The three-path extender that `ramsey._good_children` replaced: the
+    """The three-path extender that `ramsey._good_extensions` replaced: the
     good one-vertex extensions of a good parent, as digraphs.
 
     A DFS gives the new vertex v a pair state against the prior vertices in
@@ -213,6 +221,61 @@ def reference_good_children(
             )
 
     return rec(0, 0, 0, 0)
+
+
+def reference_enumerate_good_classes(
+    trans_n: Optional[int], indep_m: Optional[int], max_order: int, *, budget=None
+) -> EnumerationOutcome:
+    """The seen-set enumeration that canonical deletion replaced: every
+    child of every representative is labelled, and a level keeps the first
+    child of each canonical label.  Children come from the three-path
+    reference extender, in the order of ramsey._good_extensions, and each
+    spends one node of `budget` after it is labelled."""
+    if budget is None:
+        budget = Budget()
+    start_nodes = budget.nodes
+    levels = [[BitDigraph.empty(1)]]
+    budget.spend()
+    empty_at = None
+    order = 1
+    while order < max_order and not budget.hit:
+        seen = set()
+        next_level = []
+        for parent in levels[-1]:
+            for child in reference_good_children(parent, trans_n, indep_m):
+                label = canonical_label(child)
+                if label not in seen:
+                    seen.add(label)
+                    next_level.append(child)
+                if not budget.spend():
+                    break
+            if budget.hit:
+                break
+        if budget.hit:
+            break
+        order += 1
+        levels.append(next_level)
+        if not next_level:
+            empty_at = order
+            break
+    return EnumerationOutcome(levels, empty_at, budget.nodes - start_nodes)
+
+
+def naive_coloured_form(d: BitDigraph, cells) -> tuple[int, ...]:
+    """Least out-rows over every relabelling that puts the vertices of
+    cells[0] first, then those of cells[1], and so on: for two coloured
+    digraphs with equal cell sizes, equal iff some isomorphism maps cell i
+    onto cell i."""
+    best = None
+    for parts in product(*(permutations(bits(cell)) for cell in cells)):
+        order = [v for part in parts for v in part]
+        perm = [0] * d.order
+        for pos, v in enumerate(order):
+            perm[v] = pos
+        rows = tuple(d.relabel(perm).out)
+        if best is None or rows < best:
+            best = rows
+    return best
 
 
 def naive_transversal_exists(pg, m: int, ell: int) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from itertools import combinations, permutations, product
@@ -6,7 +7,9 @@ from transversal_lab.canon import _refine, are_isomorphic, canonical_form, canon
 from transversal_lab.graphs import BitDigraph
 from transversal_lab.ramsey import circulant_digraph
 
-from oracles import all_labelled_digraphs, naive_isomorphic
+import pytest
+
+from oracles import all_labelled_digraphs, naive_coloured_form, naive_isomorphic
 
 C3 = BitDigraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 TT3 = BitDigraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
@@ -193,3 +196,84 @@ def test_circulant_label_partition_matches_isomorphism():
         for i, d1 in enumerate(reps):
             for d2 in reps[i + 1 :]:
                 assert not naive_isomorphic(d1, d2)
+
+
+def random_digraph(rng: random.Random, order: int, p: float) -> BitDigraph:
+    arcs = [(i, j) for i in range(order) for j in range(order) if i != j and rng.random() < p]
+    return BitDigraph.from_arcs(order, arcs)
+
+
+def test_unit_partition_labels_are_unchanged():
+    # digest of the labels of 300 seeded digraphs on 1 to 9 vertices,
+    # computed before `cells` existed; None and the one-cell partition
+    # both take that path
+    rng = random.Random(61)
+    digraphs = [random_digraph(rng, rng.randint(1, 9), rng.choice((0.2, 0.5, 0.8))) for _ in range(300)]
+    for labels in (
+        [canonical_label(d) for d in digraphs],
+        [canonical_label(d, cells=[(1 << d.order) - 1]) for d in digraphs],
+    ):
+        digest = hashlib.sha256(repr(labels).encode()).hexdigest()
+        assert digest == "853e2e1500919f6c18da8a2979bde058325b28ec2ae04002cd7e7dbd52e4e0d0"
+
+
+def rooted(d: BitDigraph, v: int) -> list[int]:
+    return [1 << v, ((1 << d.order) - 1) ^ (1 << v)]
+
+
+def test_rooted_labels_match_brute_force_orbits():
+    # every labelled digraph on up to 4 vertices: labels rooted at u and w
+    # are equal iff some automorphism maps u to w
+    for order in range(1, 5):
+        for d in all_labelled_digraphs(order):
+            autos = [p for p in permutations(range(order)) if d.relabel(list(p)).out == d.out]
+            labels = [canonical_label(d, cells=rooted(d, v)) for v in range(order)]
+            for u in range(order):
+                for w in range(order):
+                    same_orbit = any(p[u] == w for p in autos)
+                    assert (labels[u] == labels[w]) == same_orbit, (d.out, u, w)
+
+
+def coloured_instances(rng: random.Random, order: int, count: int):
+    """Seeded digraphs with ordered partitions into 1 to 3 cells, each next
+    to a random relabelling of itself, so equal classes recur."""
+    for _ in range(count):
+        d = random_digraph(rng, order, rng.choice((0.3, 0.5, 0.7)))
+        vertices = list(range(order))
+        rng.shuffle(vertices)
+        cuts = sorted(rng.sample(range(1, order), rng.randint(0, min(2, order - 1))))
+        cells = [sum(1 << v for v in vertices[a:b]) for a, b in zip([0] + cuts, cuts + [order])]
+        yield d, cells
+        p = list(range(order))
+        rng.shuffle(p)
+        yield d.relabel(p), [sum(1 << p[v] for v in range(order) if cell >> v & 1) for cell in cells]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_coloured_labels_match_brute_force_isomorphism(order):
+    # two (digraph, cells) pairs with equal cell sizes get equal labels iff
+    # an isomorphism maps cell i onto cell i, decided by the brute-force
+    # coloured form
+    rng = random.Random(70 + order)
+    label_of_form: dict = {}
+    form_of_label: dict = {}
+    for d, cells in coloured_instances(rng, order, 60):
+        sizes = tuple(cell.bit_count() for cell in cells)
+        label = sizes, canonical_label(d, cells=cells)
+        form = sizes, naive_coloured_form(d, cells)
+        assert label_of_form.setdefault(form, label) == label
+        assert form_of_label.setdefault(label, form) == form
+    assert len(form_of_label) > 1 or order == 1
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ([0b011, 0b110], "disjoint"),
+        ([0b011], "cover"),
+        ([0b011, 0b1100], "cover"),
+    ],
+)
+def test_cells_must_partition_the_vertices(cells, message):
+    with pytest.raises(ValueError, match=message):
+        canonical_label(C3, cells=cells)

@@ -428,6 +428,18 @@ def test_bad_input_file_is_3(capsys, tmp_path, monkeypatch, name):
     assert line.startswith("error: ") and "bad" in line
 
 
+@pytest.mark.parametrize("vertex", [6, -1])
+def test_class_vertex_outside_the_graph_is_3_and_named(capsys, tmp_path, monkeypatch, vertex):
+    # half_graph(3) has 6 vertices
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    (tmp_path / "bad").write_text(f'{{"classes": [[0, 1, 2], [3, 4, 5, {vertex}]]}}')
+    assert main([*_SOLVE, "--graph", "h.g6", "--classes", "bad"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"partition class 1 holds vertex {vertex}, not one of 0..5" in captured.err
+
+
 class TestExitCodes:
     def test_argparse_error_is_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

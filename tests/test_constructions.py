@@ -317,6 +317,19 @@ class TestPartitionedGraph:
         with pytest.raises(ValueError):
             PartitionedGraph(UGraph.empty(3), (frozenset({0, 1}),))
 
+    @pytest.mark.parametrize(
+        "classes, message",
+        [
+            ("[[0, 1], [2, 3, 4]]", "partition class 1 holds vertex 4, not one of 0..3"),
+            ("[[0, 1, -1], [2, 3]]", "partition class 0 holds vertex -1, not one of 0..3"),
+        ],
+    )
+    def test_vertex_outside_the_graph_named(self, classes, message):
+        graph = half_graph(2).graph
+        with pytest.raises(ValueError) as exc:
+            PartitionedGraph.from_classes_json(graph, f'{{"classes": {classes}}}')
+        assert str(exc.value) == message
+
     def test_classes_json_round_trip(self):
         pg = half_graph(3)
         text = pg.classes_json()

@@ -11,6 +11,8 @@ from transversal_lab.graphs import BitDigraph, Budget, digraph_independent, has_
 from transversal_lab.ramsey import (
         RamseyTable,
     _circulant_is_good,
+    _extend,
+    _good_extensions,
     check_counterexample,
     circulant_digraph,
     dr_bounds,
@@ -29,6 +31,7 @@ from oracles import (
     naive_good,
     naive_transitive_from,
     reference_dr_bounds,
+    reference_enumerate_good_classes,
     reference_good_children,
     reference_local_search,
     reference_probe_circulants,
@@ -175,6 +178,70 @@ class TestIsomorphRejection:
             naive = [d.out for d in all_labelled_digraphs(order) if naive_good(d, 3, 3)]
             bit_rows = [d.out for d in good_labelled_digraphs_3_3(order)]
             assert bit_rows == naive, order
+
+
+def label_levels(outcome):
+    """One set of canonical labels per level; each must hold a label per
+    representative, or two representatives would be isomorphic."""
+    sets = []
+    for level in outcome.levels:
+        labels = {canonical_label(d) for d in level}
+        assert len(labels) == len(level), "isomorphic representatives in one level"
+        sets.append(labels)
+    return sets
+
+
+DELETION_CASES = [
+    (3, 3, 6),
+    (4, 2, 6),
+    (3, 4, 6),
+    (5, 2, 6),
+    (4, 3, 5),
+    (None, None, 5),
+]
+
+
+class TestCanonicalDeletion:
+    @pytest.mark.parametrize("n, m, max_order", DELETION_CASES)
+    def test_matches_the_seen_set_reference(self, n, m, max_order):
+        got = enumerate_good_classes(n, m, max_order)
+        ref = reference_enumerate_good_classes(n, m, max_order)
+        assert label_levels(got) == label_levels(ref)
+        assert (got.nodes, got.exhausted_empty_order) == (ref.nodes, ref.exhausted_empty_order)
+
+    @pytest.mark.parametrize("limit", [40, 500, 3_000])
+    @pytest.mark.parametrize("n, m, max_order", DELETION_CASES)
+    def test_budget_stops_match_the_reference(self, n, m, max_order, limit):
+        got_budget, ref_budget = Budget(limit), Budget(limit)
+        got = enumerate_good_classes(n, m, max_order, budget=got_budget)
+        ref = reference_enumerate_good_classes(n, m, max_order, budget=ref_budget)
+        assert label_levels(got) == label_levels(ref)
+        assert (got.nodes, got.exhausted_empty_order) == (ref.nodes, ref.exhausted_empty_order)
+        assert (got_budget.nodes, got_budget.reason) == (ref_budget.nodes, ref_budget.reason)
+
+    def test_positive_control_qr_7(self):
+        # the extremal digraph of dr(4,2) = 8 survives the rule at the
+        # deepest good order; TestUniqueExtremalDigraph does the same for
+        # Z_8 {2,3} at level 8 of (3,3)
+        level_7 = enumerate_good_classes(4, 2, 7).levels[6]
+        qr_7 = circulant_digraph(7, [1, 2, 4])
+        assert canonical_label(qr_7) in {canonical_label(d) for d in level_7}
+
+    def test_labels_only_children_whose_new_vertex_can_be_canonical(self, monkeypatch):
+        # the seen-set path labelled every child; the rule labels fewer
+        # children than there are, through ramsey.canonical_label
+        from transversal_lab import ramsey
+
+        calls = []
+
+        def counting(d, cells=None):
+            calls.append(cells)
+            return canonical_label(d, cells=cells)
+
+        monkeypatch.setattr(ramsey, "canonical_label", counting)
+        out = enumerate_good_classes(3, 4, 5)
+        assert calls and all(cells is not None for cells in calls)
+        assert len(calls) < out.nodes // 3
 
 
 class TestDrBounds:
@@ -448,13 +515,16 @@ def has_two_cycle(d):
     return any(d.out[u] >> v & 1 and d.out[v] >> u & 1 for u, v in combinations(range(d.order), 2))
 
 
+def good_children(parent, n, m):
+    """The extender's good children of parent as digraphs, in its order."""
+    return [_extend(parent, fwd, back) for fwd, back in _good_extensions(parent, n, m)]
+
+
 class TestExtensionGenerator:
     def test_matches_naive_filter_across_parameters(self):
         # the children, in order, are the naively good one-vertex extensions
         # taken in lexicographic order of their state vectors
         from itertools import product as iproduct
-
-        from transversal_lab.ramsey import _good_children
 
         for n_t, m_i in ((3, 3), (3, 4), (4, 2), (4, 3), (2, 4), (5, 3)):
             parents = [
@@ -466,7 +536,7 @@ class TestExtensionGenerator:
             if n_t != 2:
                 assert any(has_two_cycle(p) and p.order == 4 for p in parents), (n_t, m_i)
             for parent in parents:
-                got = [c.out for c in _good_children(parent, n_t, m_i)]
+                got = [c.out for c in good_children(parent, n_t, m_i)]
                 want = [
                     child.out
                     for child in (
@@ -497,8 +567,6 @@ class TestExtensionGenerator:
         # parents of orders 1 to 6, with and without a 2-cycle: the classes
         # enumerated within 3,000 nodes, then seeded samples of the
         # reference's children up to order 6
-        from transversal_lab.ramsey import _good_children
-
         rng = random.Random(100 * n_t + m_i)
 
         def sample(level):
@@ -513,9 +581,9 @@ class TestExtensionGenerator:
         assert n_t == 2 or any(has_two_cycle(p) for level in parents for p in level)
         refused = False
         for parent in (p for level in parents for p in level):
-            got = [c.out for c in _good_children(parent, n_t, m_i)]
+            got = [c.out for c in good_children(parent, n_t, m_i)]
             assert got == [c.out for c in reference_good_children(parent, n_t, m_i)], parent.out
-            refused |= len(got) < sum(1 for _ in _good_children(parent, None, m_i))
+            refused |= len(got) < sum(1 for _ in good_children(parent, None, m_i))
         assert refused or n_t == 2 and m_i == 2, "the transitive rule refused nothing"
 
 
