@@ -106,37 +106,31 @@ def layered_from_digraph(digraph: BitDigraph, depth: int) -> PartitionedGraph:
     return PartitionedGraph(graph, classes)
 
 
+def _bipartite(k: int, cross: Iterable[tuple[int, int]]) -> PartitionedGraph:
+    """Sides of size k, side 0 on vertices 0..k-1 and side 1 on k..2k-1,
+    with (0, a) ~ (1, b) for each (a, b) in cross."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return PartitionedGraph(
+        UGraph.from_edges(2 * k, [(a, k + b) for a, b in cross]),
+        (frozenset(range(k)), frozenset(range(k, 2 * k))),
+    )
+
+
 def half_graph(k: int) -> PartitionedGraph:
     """Half graph on sides of size k: (0, a) ~ (1, b) iff a < b.
 
     Side 0 occupies vertices 0..k-1, side 1 occupies k..2k-1.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    edges = [(a, k + b) for a in range(k) for b in range(k) if a < b]
-    return PartitionedGraph(
-        UGraph.from_edges(2 * k, edges),
-        (frozenset(range(k)), frozenset(range(k, 2 * k))),
-    )
+    return _bipartite(k, [(a, b) for a in range(k) for b in range(a + 1, k)])
 
 
 def complete_bipartite(k: int) -> PartitionedGraph:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    edges = [(a, k + b) for a in range(k) for b in range(k)]
-    return PartitionedGraph(
-        UGraph.from_edges(2 * k, edges),
-        (frozenset(range(k)), frozenset(range(k, 2 * k))),
-    )
+    return _bipartite(k, [(a, b) for a in range(k) for b in range(k)])
 
 
 def empty_bipartite(k: int) -> PartitionedGraph:
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return PartitionedGraph(
-        UGraph.empty(2 * k),
-        (frozenset(range(k)), frozenset(range(k, 2 * k))),
-    )
+    return _bipartite(k, [])
 
 
 def tensor(g: UGraph, h: UGraph) -> UGraph:

@@ -52,6 +52,16 @@ SINGLE_EDGE = BipartitePattern(1, 1, frozenset({(0, 0)}))
 # ---------------------------------------------------------------------------
 
 
+def _side_mask(g: UGraph, side: Iterable[int]) -> int:
+    """The mask of a side; a vertex outside g raises ValueError."""
+    mask = 0
+    for v in side:
+        if not 0 <= v < g.order:
+            raise ValueError(f"vertex {v} outside 0..{g.order - 1}")
+        mask |= 1 << v
+    return mask
+
+
 @dataclass
 class HalfOrderResult:
     order: int
@@ -113,7 +123,8 @@ def half_graph_order(
     """
     if exact_cap < 0:
         raise ValueError("exact_cap must be >= 0")
-    return _half_graph_order(g, mask_of(a), mask_of(b), exact_cap, Budget(node_budget))
+    amask, bmask = _side_mask(g, a), _side_mask(g, b)
+    return _half_graph_order(g, amask, bmask, exact_cap, Budget(node_budget))
 
 
 def _half_graph_order(
@@ -259,7 +270,7 @@ def rich_pair_surrogate(
     its verdict names the budget in budget_reason, and is inconclusive
     unless the stopped half-graph phase had already certified order k.
     """
-    amask, bmask = mask_of(a), mask_of(b)
+    amask, bmask = _side_mask(g, a), _side_mask(g, b)
     if amask.bit_count() < k or bmask.bit_count() < k:
         raise ValueError("both sides must have at least k vertices")
     budget = Budget(node_budget)
@@ -288,13 +299,11 @@ def rich_pair_surrogate(
 
 @dataclass
 class EmbeddingReport:
-    """A verified embedding of a bipartite pattern into a host graph.
-
-    kind is "subgraph" or "induced"; side_assignment records which host
-    class received the left side and which the right.
+    """A verified induced embedding of a bipartite pattern into a host
+    graph; side_assignment records which host class received the left side
+    and which the right.
     """
 
-    kind: str
     left_images: tuple[int, ...]
     right_images: tuple[int, ...]
     side_assignment: tuple[int, int]
@@ -315,18 +324,15 @@ class EmbeddingReport:
             return False
         for i in range(pattern.left_size):
             for j in range(pattern.right_size):
-                want = (i, j) in pattern.cross_edges
-                have = g.has_edge(self.left_images[i], self.right_images[j])
-                if want and not have:
+                if g.has_edge(self.left_images[i], self.right_images[j]) != (
+                    (i, j) in pattern.cross_edges
+                ):
                     return False
-                if self.kind == "induced" and have != want:
-                    return False
-        if self.kind == "induced":
-            for side in (self.left_images, self.right_images):
-                for i, u in enumerate(side):
-                    for v in side[i + 1 :]:
-                        if g.has_edge(u, v):
-                            return False
+        for side in (self.left_images, self.right_images):
+            for i, u in enumerate(side):
+                for v in side[i + 1 :]:
+                    if g.has_edge(u, v):
+                        return False
         return True
 
 
@@ -402,10 +408,7 @@ def balanced_induced_embed(
 
         if place_left(0, 0):
             return EmbeddingReport(
-                "induced",
-                tuple(left_images),
-                tuple(right_images),
-                (left_cls, 1 - left_cls),
+                tuple(left_images), tuple(right_images), (left_cls, 1 - left_cls)
             )
         return None
 

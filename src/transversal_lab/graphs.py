@@ -407,34 +407,50 @@ def has_independent_set(g: UGraph, k: int, within: Optional[int] = None) -> bool
 # ---------------------------------------------------------------------------
 
 
-def find_transitive_in(out: Sequence[int], cand: int, k: int) -> Optional[tuple[int, ...]]:
-    """Lexicographically least ordered k-tuple of distinct vertices of the
-    mask `cand` with v_i -> v_j in `out` for all i < j, or None; arcs in
-    the reverse direction are permitted and ignored.
+def find_transitive_in(
+    out: Sequence[int], masks: Sequence[int], k: int
+) -> Optional[tuple[int, ...]]:
+    """A transitive k-tuple (v_1, ..., v_k), v_i -> v_j in `out` for i < j
+    (reverse arcs ignored; rows carry no self-loop), with v_i in masks[p_i]
+    and p_1 <= ... <= p_k; None if there is none, () for k = 0.
 
-    As find_clique_in, except that a later member may precede an earlier
-    one, so a failed first member stays a candidate.  Rows carry no
-    self-loop.
+    Depth-first: the first member v runs over the masks in order, each in
+    ascending order, and the rest is searched in out[v] & masks[p:], one
+    mask when p is the last.  A vertex an earlier mask held is skipped, as
+    every tuple it starts here it started there, so with one mask the
+    result is the lexicographically least tuple.  Unlike in find_clique_in
+    a later member may precede an earlier one, so a failed first member
+    stays a candidate.  A member is tried only when k - 1 vertices of
+    out[v] & masks[p:] are left to follow it, and the last is read off them.
     """
     if k <= 1:
         if k <= 0:
             return ()
-        return ((cand & -cand).bit_length() - 1,) if cand else None
-    if cand.bit_count() < k:
+        for mask in masks:
+            if mask:
+                return ((mask & -mask).bit_length() - 1,)
         return None
-    todo = cand
-    while todo:
-        low = todo & -todo
-        v = low.bit_length() - 1
-        todo ^= low
-        rest = cand & out[v]
-        if k == 2:
-            if rest:
-                return (v, (rest & -rest).bit_length() - 1)
-        else:
-            found = find_transitive_in(out, rest, k - 1)
-            if found is not None:
-                return (v,) + found
+    last = len(masks) - 1
+    done = 0
+    for p, mask in enumerate(masks):
+        tail = mask  # the union of masks[p:]
+        for m in masks[p + 1 :]:
+            tail |= m
+        todo = mask & ~done
+        done |= mask
+        while todo:
+            low = todo & -todo
+            v = low.bit_length() - 1
+            todo ^= low
+            rest = tail & out[v]
+            if k == 2:
+                if rest:
+                    return (v, (rest & -rest).bit_length() - 1)
+            elif rest.bit_count() >= k - 1:
+                later = (rest,) if p == last else [m & out[v] for m in masks[p:]]
+                found = find_transitive_in(out, later, k - 1)
+                if found is not None:
+                    return (v,) + found
     return None
 
 
@@ -445,7 +461,7 @@ def find_transitive_set(d: BitDigraph, n: int) -> Optional[tuple[int, ...]]:
         raise ValueError("n must be >= 1")
     if n > d.order:
         return None
-    return find_transitive_in(d.out, (1 << d.order) - 1, n)
+    return find_transitive_in(d.out, ((1 << d.order) - 1,), n)
 
 
 def has_transitive_set(d: BitDigraph, n: int) -> bool:

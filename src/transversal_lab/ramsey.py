@@ -10,10 +10,11 @@ transitive n-set, no independent m-set) order by order.  Each new vertex
 chooses one of {none, forward, backward, both} against every prior vertex,
 in that order; forward means the arc runs from the existing vertex to the
 new one.  Digraphs are bit rows throughout (out[v], in[v] and
-non-adjacency masks).  A state is refused as soon as it closes a
-transitive n-tuple through the new vertex, which one search for an
-(n-2)-tuple on three row masks decides for every n (_good_extensions), and
-a state none as soon as it completes an independent m-set.  Isomorph
+non-adjacency masks).  The extender, one loop over the prior vertices,
+refuses a state as soon as it closes a transitive n-tuple through the new
+vertex, which one search for an (n-2)-tuple drawn in order from three row
+masks decides for every n (_good_extensions), and a state none as soon as
+it completes an independent m-set.  Isomorph
 rejection by canonical deletion keeps one representative per isomorphism
 class at every order: a child is kept only when its new vertex lies in
 its canonical orbit (greatest degrees, then neighbour key sums, then
@@ -250,20 +251,6 @@ def dr_bounds(
 # ---------------------------------------------------------------------------
 
 
-def _transitive_from(out: Sequence[int], masks: Sequence[int], k: int) -> bool:
-    """True iff some transitive k-tuple (u_a -> u_b for a < b), k >= 2, has
-    u_1 in masks[p_1], ..., u_k in masks[p_k] with p_1 <= ... <= p_k."""
-    tail = 0  # the union of masks[p:]
-    for p in range(len(masks) - 1, -1, -1):
-        tail |= masks[p]
-        for u in bits(masks[p]):
-            if (tail & out[u]).bit_count() >= k - 1 and (
-                k == 2 or _transitive_from(out, [later & out[u] for later in masks[p:]], k - 1)
-            ):
-                return True
-    return False
-
-
 def _extend(parent: BitDigraph, fwd: int, back: int) -> BitDigraph:
     """The parent plus a vertex v = parent.order with arcs i -> v for i in
     fwd and v -> i for i in back."""
@@ -273,15 +260,14 @@ def _extend(parent: BitDigraph, fwd: int, back: int) -> BitDigraph:
     return BitDigraph(parent.order + 1, rows)
 
 
-def _good_extensions(
-    parent: BitDigraph, trans_n: Optional[int], indep_m: Optional[int]
-) -> Iterator[tuple[int, int]]:
+def _good_extensions(parent: BitDigraph, trans_n: int, indep_m: int) -> list[tuple[int, int]]:
     """The good one-vertex extensions of a good parent, as (F, B) masks.
 
-    A DFS gives the new vertex v a pair state against the prior vertices in
-    ascending index order, trying none < forward < backward < both, so the
-    children come in lexicographic order of their state vectors.  F holds
-    the prior vertices with an arc to v, B those v has an arc to.
+    One loop over the prior vertices i in ascending order offers every
+    partial state none < forward < backward < both against i and keeps the
+    survivors in that order, so the children come in lexicographic order
+    of their state vectors.  F holds the prior vertices with an arc to v,
+    B those v has an arc to.
     Lemma: the parent is good, so a transitive n-tuple of a child passes
     through v and reads (T1, v, T2), T1 in F and T2 in B; it is closed when
     its largest prior vertex i gets its state.  If i -> v, its other n - 2
@@ -294,34 +280,32 @@ def _good_extensions(
     is refused when it completes an independent m-set through v, whose
     other members all have state none.
     """
-    k = parent.order
     out = parent.out
     inn = parent.in_masks()
     na = parent.nonadjacency_masks()
-    need = math.inf if trans_n is None else trans_n - 2  # tuple members besides i and v
-
-    def rec(i: int, fwd: int, back: int, zset: int) -> Iterator[tuple[int, int]]:
-        if i == k:
-            yield fwd, back
-            return
+    need = trans_n - 2  # tuple members besides i and v
+    states = [(0, 0, 0)]  # (F, B, the prior vertices with state none)
+    for i in range(parent.order):
         bit = 1 << i
-        if indep_m is None or find_clique_in(na, na[i] & zset, indep_m - 2) is None:
-            yield from rec(i + 1, fwd, back, zset | bit)
-        before, into, outof, after = inn[i] & fwd, out[i] & fwd, inn[i] & back, out[i] & back
-        to_v = (before | into | after).bit_count() < need or (
-            need > 1 and not _transitive_from(out, (before, into, after), need)
-        )
-        from_v = (before | outof | after).bit_count() < need or (
-            need > 1 and not _transitive_from(out, (before, outof, after), need)
-        )
-        if to_v:
-            yield from rec(i + 1, fwd | bit, back, zset)
-        if from_v:
-            yield from rec(i + 1, fwd, back | bit, zset)
-        if to_v and from_v:
-            yield from rec(i + 1, fwd | bit, back | bit, zset)
-
-    return rec(0, 0, 0, 0)
+        grown = []
+        for fwd, back, zset in states:
+            if find_clique_in(na, na[i] & zset, indep_m - 2) is None:
+                grown.append((fwd, back, zset | bit))
+            before, into, outof, after = inn[i] & fwd, out[i] & fwd, inn[i] & back, out[i] & back
+            to_v = (before | into | after).bit_count() < need or (
+                need > 1 and find_transitive_in(out, (before, into, after), need) is None
+            )
+            from_v = (before | outof | after).bit_count() < need or (
+                need > 1 and find_transitive_in(out, (before, outof, after), need) is None
+            )
+            if to_v:
+                grown.append((fwd | bit, back, zset))
+            if from_v:
+                grown.append((fwd, back | bit, zset))
+            if to_v and from_v:
+                grown.append((fwd | bit, back | bit, zset))
+        states = grown
+    return [(fwd, back) for fwd, back, _ in states]
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +336,8 @@ class EnumerationOutcome:
 
 
 def enumerate_good_classes(
-    trans_n: Optional[int],
-    indep_m: Optional[int],
+    trans_n: int,
+    indep_m: int,
     max_order: int,
     *,
     budget: Optional[Budget] = None,
@@ -361,10 +345,11 @@ def enumerate_good_classes(
     """Isomorph-free enumeration of digraphs avoiding transitive trans_n-sets
     and independent indep_m-sets, by increasing order.
 
-    Either constraint may be None (unconstrained).  Requires trans_n >= 2
-    and indep_m >= 2 when given.  The outcome counts only the nodes spent
-    here from `budget`, which is unlimited when None; every child of every
-    representative spends one node, whether or not it is labelled.
+    Requires trans_n >= 2 and indep_m >= 2; a constraint above max_order
+    never binds, so max_order + 1 for both enumerates every digraph.  The
+    outcome counts only the nodes spent here from `budget`, which is
+    unlimited when None; every child of every representative spends one
+    node, whether or not it is labelled.
 
     Level k + 1 keeps the children of level k that canonical deletion
     accepts (McKay, "Isomorph-free exhaustive generation", J. Algorithms
@@ -386,8 +371,8 @@ def enumerate_good_classes(
     """
     if max_order < 1:
         return EnumerationOutcome([], None, 0)
-    if (trans_n is not None and trans_n < 2) or (indep_m is not None and indep_m < 2):
-        raise ValueError("constraints must be >= 2 when given")
+    if trans_n < 2 or indep_m < 2:
+        raise ValueError("constraints must be >= 2")
     if budget is None:
         budget = Budget()
     start_nodes = budget.nodes
@@ -438,7 +423,7 @@ def _rigid(d: BitDigraph, keys: Sequence[int], inn: Sequence[int]) -> bool:
 
 
 def _canonical_children(
-    parent: BitDigraph, trans_n: Optional[int], indep_m: Optional[int], budget: Budget
+    parent: BitDigraph, trans_n: int, indep_m: int, budget: Budget
 ) -> Iterator[BitDigraph]:
     """One child per class among the good children C = parent + v that
     have v in their canonical orbit; each child of the extender spends
@@ -531,7 +516,7 @@ def _circulant_is_good(d: BitDigraph, n: int, m: int) -> bool:
     m-set.  Translation is an automorphism of d, as of every Cayley digraph,
     so such a tuple can be moved to start at vertex 0 and such a set to hold
     it: only out[0] and the non-neighbours of 0 are searched."""
-    if find_transitive_in(d.out, d.out[0], n - 1) is not None:
+    if find_transitive_in(d.out, (d.out[0],), n - 1) is not None:
         return False
     na = d.nonadjacency_masks()
     return find_clique_in(na, na[0], m - 1) is None

@@ -237,7 +237,7 @@ def _random_transitive_free_digraph(r: int, n: int, rng: random.Random) -> BitDi
     for i, j in pairs:
         if rng.random() < 0.6:
             out[i] |= 1 << j
-            if find_transitive_in(out, full, n) is not None:
+            if find_transitive_in(out, (full,), n) is not None:
                 out[i] &= ~(1 << j)
     return BitDigraph(r, out)
 

@@ -168,7 +168,7 @@ def naive_transitive_from(out, masks, k: int) -> bool:
 
 
 def reference_good_children(
-    parent: BitDigraph, trans_n: Optional[int], indep_m: Optional[int]
+    parent: BitDigraph, trans_n: int, indep_m: int
 ) -> Iterator[BitDigraph]:
     """The three-path extender that `ramsey._good_extensions` replaced: the
     good one-vertex extensions of a good parent, as digraphs.
@@ -193,7 +193,7 @@ def reference_good_children(
     new_bit = 1 << k
     states = (0,) if trans_n == 2 else (0, 1, 2, 3)
     triples = trans_n == 3
-    leaf_n = trans_n if trans_n is not None and trans_n > 3 else None
+    leaf_n = trans_n if trans_n > 3 else None
 
     def rec(i: int, fwd: int, back: int, zset: int) -> Iterator[BitDigraph]:
         if i == k:
@@ -208,7 +208,7 @@ def reference_good_children(
             if s == 0:
                 # would making i a non-neighbour complete an independent
                 # m-set through the new vertex?
-                if indep_m is None or find_clique_in(na, na[i] & zset, indep_m - 2) is None:
+                if find_clique_in(na, na[i] & zset, indep_m - 2) is None:
                     yield from rec(i + 1, fwd, back, zset | bit)
                 continue
             if triples and (
@@ -224,7 +224,7 @@ def reference_good_children(
 
 
 def reference_enumerate_good_classes(
-    trans_n: Optional[int], indep_m: Optional[int], max_order: int, *, budget=None
+    trans_n: int, indep_m: int, max_order: int, *, budget=None
 ) -> EnumerationOutcome:
     """The seen-set enumeration that canonical deletion replaced: every
     child of every representative is labelled, and a level keeps the first
@@ -598,7 +598,7 @@ def reference_circulant_is_good(q: int, diffs: Iterable[int], n: int, m: int) ->
         out0 |= 1 << d
         in0 |= 1 << (q - d)  # d -> 0
     rows = [((out0 << i) | (out0 >> (q - i))) & full for i in range(q)]
-    if find_transitive_in(rows, out0, n - 1) is not None:
+    if find_transitive_in(rows, (out0,), n - 1) is not None:
         return False
     na0 = full ^ (out0 | in0 | 1)
     na_rows = [((na0 << i) | (na0 >> (q - i))) & full for i in range(q)]

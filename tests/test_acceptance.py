@@ -165,7 +165,7 @@ def test_criterion_05_recurrence_and_sandwich():
 
 def test_criterion_06_layered_construction_soundness():
     start = time.monotonic()
-    enum = enumerate_good_classes(3, None, 5)
+    enum = enumerate_good_classes(3, 6, 5)
     checked = 0
     failures = 0
     for level in enum.levels:

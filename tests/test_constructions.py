@@ -62,13 +62,14 @@ class TestLayered:
             assert is_independent(pg.graph, cls)
 
     def test_all_transitive_3_free_classes_order_4_depth_4(self):
-        out = enumerate_good_classes(3, None, 4)
+        # an independent 5-set cannot fit in 4 vertices, so only n binds
+        out = enumerate_good_classes(3, 5, 4)
         for level in out.levels:
             for d in level:
                 assert not has_clique(layered_from_digraph(d, 4).graph, 3)
 
     def test_all_transitive_4_free_classes_order_4_depth_4(self):
-        out = enumerate_good_classes(4, None, 4)
+        out = enumerate_good_classes(4, 5, 4)
         for level in out.levels:
             for d in level:
                 assert not has_clique(layered_from_digraph(d, 4).graph, 4)

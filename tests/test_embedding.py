@@ -60,6 +60,13 @@ class TestHalfGraphOrder:
         with pytest.raises(ValueError, match="exact_cap must be >= 0"):
             half_graph_order(pg.graph, pg.classes[0], pg.classes[1], exact_cap=-2)
 
+    @pytest.mark.parametrize("a, b, bad", [([0, 1, 9], [3, 4, 5], 9), ([0, 1, 2], [3, -1], -1)])
+    def test_side_vertex_outside_the_graph_rejected(self, a, b, bad):
+        # 9 used to raise IndexError, -1 "negative shift count"
+        g = half_graph(3).graph
+        with pytest.raises(ValueError, match=rf"vertex {bad} outside 0\.\.5"):
+            half_graph_order(g, a, b)
+
     def test_oracle_agreement(self):
         rng = random.Random(64)
         for _ in range(80):
@@ -149,6 +156,12 @@ class TestRichPairSurrogate:
         pg = empty_bipartite(2)
         with pytest.raises(ValueError):
             rich_pair_surrogate(pg.graph, pg.classes[0], pg.classes[1], 3)
+
+    @pytest.mark.parametrize("a, b, bad", [([0, 1, 9], [3, 4, 5], 9), ([-1, 0, 1], [3, 4, 5], -1)])
+    def test_side_vertex_outside_the_graph_rejected(self, a, b, bad):
+        g = half_graph(3).graph
+        with pytest.raises(ValueError, match=rf"vertex {bad} outside 0\.\.5"):
+            rich_pair_surrogate(g, a, b, 2)
 
 
 class TestBalancedInducedEmbed:

@@ -225,7 +225,7 @@ class TestCliqueKernels:
                         ),
                         None,
                     )
-                    assert find_transitive_in(d.out, cand, k) == least
+                    assert find_transitive_in(d.out, (cand,), k) == least
 
 
 class TestIndependence:

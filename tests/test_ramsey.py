@@ -7,7 +7,13 @@ import pytest
 
 from transversal_lab.canon import canonical_label
 from transversal_lab.errors import NotACounterexample, VerificationError
-from transversal_lab.graphs import BitDigraph, Budget, digraph_independent, has_transitive_set
+from transversal_lab.graphs import (
+    BitDigraph,
+    Budget,
+    digraph_independent,
+    find_transitive_in,
+    has_transitive_set,
+)
 from transversal_lab.ramsey import (
         RamseyTable,
     _circulant_is_good,
@@ -197,7 +203,7 @@ DELETION_CASES = [
     (3, 4, 6),
     (5, 2, 6),
     (4, 3, 5),
-    (None, None, 5),
+    (6, 6, 5),  # no bound binds on 5 vertices: every digraph
 ]
 
 
@@ -548,18 +554,25 @@ class TestExtensionGenerator:
                 assert got == want, (n_t, m_i, parent.out)
 
     def test_transitive_from_matches_tuple_scan(self):
-        from transversal_lab.ramsey import _transitive_from
-
+        # the kernel's answer on ordered masks is the tuple scan's, and a
+        # tuple it returns is transitive with members in mask order
         rng = random.Random(2024)
         answers = []
-        for _ in range(400):
+        for _ in range(600):
             order = rng.randint(2, 7)
             out = [rng.getrandbits(order) & ~(1 << v) for v in range(order)]
             masks = [rng.getrandbits(order) for _ in range(rng.randint(1, 3))]
-            k = rng.choice((2, 3, 4))
-            got = _transitive_from(out, masks, k)
-            assert got == naive_transitive_from(out, masks, k), (out, masks, k)
-            answers.append(got)
+            k = rng.randint(1, 5)
+            found = find_transitive_in(out, masks, k)
+            assert (found is not None) == naive_transitive_from(out, masks, k), (out, masks, k)
+            if found is not None:
+                assert len(found) == k and all(out[a] >> b & 1 for a, b in combinations(found, 2))
+                p = 0
+                for u in found:
+                    while p < len(masks) and not masks[p] >> u & 1:
+                        p += 1
+                assert p < len(masks), (out, masks, found)
+            answers.append(found is not None)
         assert any(answers) and not all(answers)
 
     @pytest.mark.parametrize("n_t, m_i", list(product(range(2, 7), (2, 3, 4))))
@@ -583,7 +596,7 @@ class TestExtensionGenerator:
         for parent in (p for level in parents for p in level):
             got = [c.out for c in good_children(parent, n_t, m_i)]
             assert got == [c.out for c in reference_good_children(parent, n_t, m_i)], parent.out
-            refused |= len(got) < sum(1 for _ in good_children(parent, None, m_i))
+            refused |= len(got) < len(good_children(parent, parent.order + 2, m_i))
         assert refused or n_t == 2 and m_i == 2, "the transitive rule refused nothing"
 
 
