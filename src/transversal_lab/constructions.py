@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
@@ -101,9 +102,16 @@ def layered_from_digraph(digraph: BitDigraph, depth: int) -> PartitionedGraph:
     for out, inn in zip(digraph.out, digraph.in_masks()):
         fwd, back = spread(out, t), spread(inn, t)
         adj += [later * fwd | earlier * back for later, earlier in layers]
-    graph = UGraph(len(adj), adj)
-    classes = tuple(frozenset(range(i * t, (i + 1) * t)) for i in range(digraph.order))
-    return PartitionedGraph(graph, classes)
+    return PartitionedGraph(UGraph(len(adj), adj), _row_classes(digraph.order, t))
+
+
+@lru_cache(maxsize=64)
+def _row_classes(rows: int, depth: int) -> tuple[frozenset[int], ...]:
+    """The classes of a layered blowup, row i the block i*depth ..
+    (i+1)*depth - 1.  They depend only on the shape and are immutable, so
+    blowups of one shape share one tuple: a batch of blowups holds each
+    shape's frozensets once, not once per graph."""
+    return tuple(frozenset(range(i * depth, (i + 1) * depth)) for i in range(rows))
 
 
 def _bipartite(k: int, cross: Iterable[tuple[int, int]]) -> PartitionedGraph:

@@ -12,8 +12,11 @@ Each class's l-subsets are enumerated as bit masks by a depth-first walk
 that takes the lowest vertex first, which is the order of
 `itertools.combinations`.  A prefix with an edge is abandoned, but its
 completions still count as nodes, so node budgets and node counts are
-those of the plain subset-by-subset loop.  The capacity test is memoised
-per call on the mask it reads.
+those of the plain subset-by-subset loop.  Two memos live for one call:
+the capacity test's answer on the mask it reads, and the node count of
+every class-placement subtree that failed, keyed on what that subtree
+reads (see `find_transversal`); a failed subtree that comes back is
+counted again, not walked again.
 """
 
 from __future__ import annotations
@@ -110,6 +113,29 @@ def find_transversal(
     independent ell-set outside `forbidden`.  The answer depends only on
     lmask = class_mask & ~forbidden, so it is memoised on lmask for the
     call (classes are disjoint, so a nonzero lmask also names its class).
+
+    Lemma (failed subtrees).  Let rest be the union of targets[idx:], the
+    classes still to fill.  The outcome and the node count of
+    place(idx, picked, forbidden) depend only on targets[idx:] and on
+    forbidden & rest: `picked` only enters the returned mask, and `pick`
+    and the capacity prune read `forbidden` only inside those classes.
+    The classes are disjoint, non-empty (the quick reject drops a class
+    smaller than ell) and listed in ascending order by every combination,
+    so rest names the remaining classes and their order, across
+    combinations too.  A subtree that fails is therefore
+    stored as (rest, forbidden & rest) -> nodes it spent, and a later
+    call with the same key adds those nodes and fails without walking.  A
+    hit that takes the count past the budget stops there, as the walk
+    would have, and Budget.spend clamps the total to node_budget + 1 as
+    before.  Only failures are stored, so the witness, profile, status and
+    `nodes` are those of the plain walk.
+
+    Lemma (the last class).  For m >= 2, place(m - 1, ...) is only entered
+    after the capacity prune found an independent ell-set in
+    targets[m - 1] & ~forbidden, and `pick` takes the first such set, so
+    it never fails.  The memo is therefore consulted only for
+    0 < idx < m - 1: at idx = 0 each combination arrives exactly once, and
+    searches with m <= 2 do no memo work at all.
     """
     return _solve(pg, m, ell, Budget(node_budget))
 
@@ -129,6 +155,8 @@ def _solve(pg: PartitionedGraph, m: int, ell: int, budget: Budget) -> Transversa
     limit = budget.limit
     start = nodes = budget.nodes
     capacity: dict[int, bool] = {}
+    failed: dict[tuple[int, int], int] = {}  # (rest, forbidden & rest) -> nodes
+    last = m - 1
     targets: tuple[int, ...] = ()  # masks of the chosen classes
     tails: list[tuple[int, ...]] = []  # tails[i] = targets[i + 1 :]
 
@@ -136,9 +164,25 @@ def _solve(pg: PartitionedGraph, m: int, ell: int, budget: Budget) -> Transversa
         """Extend `picked` by ell vertices in each of targets[idx:]; returns
         the full vertex mask or None.  `forbidden` is the union of the
         neighbourhoods of the picks."""
+        nonlocal nodes
         if idx == m:
             return picked
-        return pick(idx, picked, forbidden, targets[idx] & ~forbidden, ell, 0)
+        if idx == 0 or idx == last:  # no memo here: see find_transversal
+            return pick(idx, picked, forbidden, targets[idx] & ~forbidden, ell, 0)
+        if failed:  # an empty memo answers nothing
+            rest = sum(tails[idx - 1])  # targets[idx:], disjoint masks
+            spent = failed.get((rest, forbidden & rest))
+            if spent is not None:
+                nodes += spent
+                if nodes > limit:
+                    raise BudgetExceeded
+                return None
+        before = nodes
+        found = pick(idx, picked, forbidden, targets[idx] & ~forbidden, ell, 0)
+        if found is None:
+            rest = sum(tails[idx - 1])
+            failed[rest, forbidden & rest] = nodes - before
+        return found
 
     def pick(
         idx: int, picked: int, forbidden: int, cand: int, need: int, nbhd: int
@@ -264,9 +308,19 @@ def estimate_N(
     freedom).  Absence of a counterexample is an observation, not an error.
     Each candidate's search gets its own `node_budget`; one that stops on
     it is counted in `budget_stopped` and proves nothing either way.
+    The arguments are checked before any candidate is drawn: with m > r
+    every graph would be a vacuous counterexample.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 1 <= m <= r:
+        raise ValueError(f"m must satisfy 1 <= m <= r, got m={m}, r={r}")
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    if class_size < 1:
+        raise ValueError("class_size must be >= 1")
+    if candidates < 0:
+        raise ValueError("candidates must be >= 0")
     if strategy not in ("random", "local-search"):
         raise ValueError("strategy must be 'random' or 'local-search'")
     rng = random.Random(rng_seed)

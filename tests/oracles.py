@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional
 
 from transversal_lab.canon import canonical_label
 from transversal_lab.constructions import PartitionedGraph
-from transversal_lab.errors import VerificationError
+from transversal_lab.errors import BudgetExceeded, VerificationError
 from transversal_lab.graphs import (
     BitDigraph,
     Budget,
@@ -38,6 +39,7 @@ from transversal_lab.ramsey import (
     _annealing_energy,
     circulant_digraph,
 )
+from transversal_lab.transversal import TransversalResult
 
 
 def naive_has_transitive(d: BitDigraph, n: int) -> bool:
@@ -306,23 +308,47 @@ def reference_transversal(pg, m: int, ell: int, node_budget=None):
     each class's ell-subsets of its available vertices as `combinations`
     yields them, each one counted as a node before it is tested with
     `is_independent`, and an uncached capacity check for every later class.
-    Returns (status, witness, profile, nodes, dependent), where `dependent`
-    counts the subsets rejected as not independent.
+    Returns (status, witness, profile, nodes, dependent, memo), where
+    `dependent` counts the subsets rejected as not independent.
+
+    The walk itself has no memo; `memo` says what a solver with a
+    failed-subtree memo would do on it.  A class placement at
+    0 < idx < m - 1 is keyed on (rest, forbidden & rest), rest the union
+    of the classes still to fill.  `memo.failed` maps the key of each
+    such placement that failed to the nodes it spent, `memo.hits` counts
+    the placements whose key an earlier placement had already failed
+    with, and `memo.walked` the placements such a solver enters without
+    answering them from the memo.  Nothing inside an answered placement
+    is walked or recorded.
     """
     g = pg.graph
     class_masks = pg.class_masks()
     r = len(class_masks)
     nodes = dependent = 0
+    memo = SimpleNamespace(walked=0, hits=0, failed={})
     if m > r:
-        return "none", None, (0,) * r, 0, 0
+        return "none", None, (0,) * r, 0, 0, memo
 
     class Exhausted(Exception):
         pass
 
-    def place(chosen, idx, picked, forbidden):
+    def place(chosen, idx, picked, forbidden, answered):
         nonlocal nodes, dependent
         if idx == len(chosen):
             return picked
+        key = None
+        if not answered:
+            if 0 < idx < len(chosen) - 1:
+                rest = 0
+                for c in chosen[idx:]:
+                    rest |= class_masks[c]
+                key = (rest, forbidden & rest)
+            if key in memo.failed:
+                memo.hits += 1
+                answered, key = True, None
+            else:
+                memo.walked += 1
+        before = nodes
         avail = class_masks[chosen[idx]] & ~forbidden
         for combo in combinations(list(bits(avail)), ell):
             nodes += 1
@@ -339,23 +365,120 @@ def reference_transversal(pg, m: int, ell: int, node_budget=None):
                 and has_independent_set(g, ell, within=class_masks[later] & ~new_forbidden)
                 for later in chosen[idx + 1 :]
             ):
-                found = place(chosen, idx + 1, picked | mask_of(combo), new_forbidden)
+                found = place(chosen, idx + 1, picked | mask_of(combo), new_forbidden, answered)
                 if found is not None:
                     return found
+        if key is not None:
+            memo.failed[key] = nodes - before
         return None
 
     try:
         for chosen in combinations(range(r), m):
             if any(class_masks[c].bit_count() < ell for c in chosen):
                 continue
-            picked = place(chosen, 0, 0, 0)
+            picked = place(chosen, 0, 0, 0, False)
             if picked is not None:
                 witness = frozenset(bits(picked))
                 profile = tuple(len(witness & c) for c in pg.classes)
-                return "found", witness, profile, nodes, dependent
+                return "found", witness, profile, nodes, dependent, memo
     except Exhausted:
-        return "budget", None, (0,) * r, nodes, dependent
-    return "none", None, (0,) * r, nodes, dependent
+        return "budget", None, (0,) * r, nodes, dependent, memo
+    return "none", None, (0,) * r, nodes, dependent, memo
+
+
+def reference_solve(pg, m: int, ell: int, budget: Budget) -> TransversalResult:
+    """The mask-walk solver before the failed-subtree memo: the counted
+    skip of dependent prefixes and the capacity memo, but every failed
+    class placement walked again whenever it comes back.  Spends from
+    `budget` as `transversal._solve` does."""
+    if m < 1 or ell < 1:
+        raise ValueError("m and ell must be >= 1")
+    g = pg.graph
+    adj = g.adj
+    class_masks = pg.class_masks()
+    r = len(class_masks)
+    if m > r:
+        return TransversalResult("none", None, (0,) * r, 0)
+
+    limit = budget.limit
+    start = nodes = budget.nodes
+    capacity: dict[int, bool] = {}
+    targets: tuple[int, ...] = ()
+    tails: list[tuple[int, ...]] = []
+
+    def place(idx: int, picked: int, forbidden: int) -> Optional[int]:
+        if idx == m:
+            return picked
+        return pick(idx, picked, forbidden, targets[idx] & ~forbidden, ell, 0)
+
+    def pick(
+        idx: int, picked: int, forbidden: int, cand: int, need: int, nbhd: int
+    ) -> Optional[int]:
+        nonlocal nodes
+        left = cand.bit_count()
+        while left >= need:
+            low = cand & -cand
+            cand ^= low
+            left -= 1
+            if low & nbhd:
+                nodes += math.comb(left, need - 1)
+                if nodes > limit:
+                    raise BudgetExceeded
+                continue
+            v = low.bit_length() - 1
+            if need > 1:
+                found = pick(idx, picked | low, forbidden, cand, need - 1, nbhd | adj[v])
+                if found is not None:
+                    return found
+                continue
+            nodes += 1
+            if nodes > limit:
+                raise BudgetExceeded
+            new_forbidden = forbidden | nbhd | adj[v]
+            for later in tails[idx]:
+                lmask = later & ~new_forbidden
+                if lmask.bit_count() < ell:
+                    break
+                fits = capacity.get(lmask)
+                if fits is None:
+                    fits = capacity[lmask] = has_independent_set(g, ell, within=lmask)
+                if not fits:
+                    break
+            else:
+                found = place(idx + 1, picked | low, new_forbidden)
+                if found is not None:
+                    return found
+        return None
+
+    status, witness, profile = "none", None, (0,) * r
+    try:
+        for chosen in combinations(range(r), m):
+            targets = tuple(class_masks[c] for c in chosen)
+            if any(t.bit_count() < ell for t in targets):
+                continue
+            tails = [targets[i + 1 :] for i in range(m)]
+            picked = place(0, 0, 0)
+            if picked is not None:
+                status, witness = "found", frozenset(bits(picked))
+                profile = tuple(len(witness & c) for c in pg.classes)
+                break
+    except BudgetExceeded:
+        status = "budget"
+    budget.spend(nodes - start)
+    return TransversalResult(status, witness, profile, budget.nodes - start, budget.reason)
+
+
+def reference_max_profile(pg, ell: int, node_budget=None) -> int:
+    """`max_profile` on `reference_solve`: descending probes under one
+    shared budget, raising BudgetExceeded with the same message."""
+    budget = Budget(node_budget)
+    for m in range(pg.num_classes, 0, -1):
+        status = reference_solve(pg, m, ell, budget).status
+        if status == "found":
+            return m
+        if status == "budget":
+            raise BudgetExceeded(f"max_profile node budget exhausted; the answer is at most {m}")
+    return 0
 
 
 def naive_half_graph_order(g: UGraph, a_side, b_side) -> int:

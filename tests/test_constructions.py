@@ -80,6 +80,13 @@ class TestLayered:
         assert sorted(pg.graph.edges()) == [(0, 3), (1, 2)]
 
 
+    def test_blowups_of_one_shape_share_their_classes(self):
+        # the classes depend only on rows and depth, so a batch of blowups
+        # holds each shape's frozensets once
+        pg = layered_from_digraph(C3, 4)
+        assert layered_from_digraph(BitDigraph.empty(3), 4).classes is pg.classes
+        assert layered_from_digraph(C3, 5).classes is not pg.classes
+
     def test_matches_reference_on_random_digraphs(self):
         # every order 1..10 and depth 1..8, oriented and with 2-cycles
         rng = random.Random(15)

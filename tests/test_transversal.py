@@ -1,10 +1,12 @@
 import random
+import sys
 
 import pytest
 
+import transversal_lab.transversal as transversal_module
 from transversal_lab.constructions import PartitionedGraph, layered_from_digraph, tensor
 from transversal_lab.errors import BudgetExceeded
-from transversal_lab.graphs import BitDigraph, UGraph, has_clique, is_independent
+from transversal_lab.graphs import BitDigraph, Budget, UGraph, has_clique, is_independent
 from transversal_lab.ramsey import circulant_digraph
 from transversal_lab.transversal import (
     _harden_candidate,
@@ -18,6 +20,8 @@ from oracles import (
     naive_has_clique,
     naive_has_transitive,
     naive_transversal_exists,
+    reference_max_profile,
+    reference_solve,
     reference_transversal,
 )
 
@@ -155,6 +159,104 @@ class TestReferenceEquivalence:
                 assert want[0] == ("budget" if budget < free[3] else free[0])
 
 
+def layered_case(rng):
+    """A layered blowup of depth 3 or 4 over a random transitive-triple-free
+    digraph on 5 to 8 rows, with a random m and ell."""
+    rows = rng.randint(5, 8)
+    depth = rng.randint(3, 4)
+    pg = layered_from_digraph(_random_transitive_free_digraph(rows, 3, rng), depth)
+    return pg, rng.randint(1, rows), rng.randint(1, 3)
+
+
+def traced_solve(pg, m, ell):
+    """find_transversal, the class placements it walked and its
+    failed-subtree memo as the call ends.  A walked placement is a call of
+    the inner `pick` made by `place`, not by `pick` itself; a placement
+    answered from the memo makes none.  The memo is `_solve`'s `failed`."""
+    walked = 0
+    memo = None
+
+    def trace(frame, event, arg):
+        nonlocal walked, memo
+        name = frame.f_code.co_name
+        if event == "call" and name == "pick":
+            walked += frame.f_back.f_code.co_name == "place"
+        elif event == "return" and name == "_solve":
+            memo = dict(frame.f_locals["failed"])
+
+    sys.setprofile(trace)
+    try:
+        res = find_transversal(pg, m, ell)
+    finally:
+        sys.setprofile(None)
+    return res, walked, memo
+
+
+def outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+class TestFailedSubtreeMemo:
+    """The failed-subtree memo on layered blowups, against the plain
+    subset-by-subset walk and against the mask walk without the memo
+    (`oracles.reference_solve`): the same status, witness, profile and
+    nodes, under every budget; and exactly the placements and the memo
+    entries that the plain walk says a failed-subtree memo has."""
+
+    def test_layered_blowups_match_references(self):
+        rng = random.Random(1990)
+        statuses = set()
+        hit_cases = hits = 0
+        for _ in range(600):
+            pg, m, ell = layered_case(rng)
+            want = reference_transversal(pg, m, ell)
+            res, walked, memo = traced_solve(pg, m, ell)
+            assert (res.status, res.witness, res.profile, res.nodes) == want[:4]
+            assert res == reference_solve(pg, m, ell, Budget())
+            assert (walked, memo) == (want[5].walked, want[5].failed)
+            statuses.add(want[0])
+            hit_cases += want[5].hits > 0
+            hits += want[5].hits
+        assert statuses == {"found", "none"}
+        # positive control: failed subtrees come back and are answered
+        assert hit_cases >= 50 and hits >= 300
+
+    def test_every_node_budget_on_none_instances(self):
+        rng = random.Random(41)
+        checked = 0
+        while checked < 4:
+            pg, m, ell = layered_case(rng)
+            free = reference_transversal(pg, m, ell)
+            if free[0] != "none" or free[5].hits < 3 or free[3] > 250:
+                continue
+            checked += 1
+            for budget in range(1, free[3] + 2):
+                want = reference_transversal(pg, m, ell, node_budget=budget)
+                assert solve(pg, m, ell, node_budget=budget) == want[:4]
+                assert want[0] == ("budget" if budget < free[3] else "none")
+
+    def test_max_profile_under_one_budget(self):
+        rng = random.Random(7)
+        checked = 0
+        while checked < 6:
+            pg, _, ell = layered_case(rng)
+            budget = Budget()
+            for m in range(pg.num_classes, 0, -1):
+                if reference_solve(pg, m, ell, budget).status == "found":
+                    break
+            total = budget.nodes
+            if total > 400:
+                continue
+            checked += 1
+            for node_budget in [None, *range(0, total + 2)]:
+                assert outcome(max_profile, pg, ell, node_budget=node_budget) == outcome(
+                    reference_max_profile, pg, ell, node_budget=node_budget
+                )
+
+
 class TestMonotonicity:
     def test_found_is_downward_closed(self):
         rng = random.Random(5)
@@ -238,6 +340,28 @@ class TestEstimateN:
     def test_bad_strategy_rejected(self):
         with pytest.raises(ValueError):
             estimate_N(3, 2, 1, 1, r=4, strategy="quantum")
+
+    @pytest.mark.parametrize(
+        "args, kwargs, match",
+        [
+            ((3, 4, 1, 2), {"r": 3}, r"1 <= m <= r, got m=4, r=3"),
+            ((1, 0, 1, 2), {"r": 3}, r"1 <= m <= r, got m=0, r=3"),
+            ((3, 2, 1, 2), {"r": 0}, r"1 <= m <= r, got m=2, r=0"),
+            ((3, 2, 0, 2), {"r": 3}, r"^ell must be >= 1$"),
+            ((3, 2, 1, 0), {"r": 3}, r"^class_size must be >= 1$"),
+            ((3, 2, 1, 2), {"r": 3, "candidates": -1}, r"^candidates must be >= 0$"),
+        ],
+        ids=["m-above-r", "m-zero", "r-zero", "ell-zero", "class-size-zero", "candidates-negative"],
+    )
+    def test_bad_arguments_rejected_before_generation(self, monkeypatch, args, kwargs, match):
+        # m > r would make every candidate a vacuous counterexample; the
+        # others failed deep in generation or returned quietly
+        def no_generation(*_):
+            raise AssertionError("a candidate was generated")
+
+        monkeypatch.setattr(transversal_module, "_random_transitive_free_digraph", no_generation)
+        with pytest.raises(ValueError, match=match):
+            estimate_N(*args, **kwargs)
 
 
 def reference_transitive_free_digraph(r, n, rng):
