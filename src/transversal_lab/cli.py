@@ -81,6 +81,15 @@ def _load_partitioned(graph_path: str, classes_path: str) -> PartitionedGraph:
     return _load(classes_path, lambda text: PartitionedGraph.from_classes_json(g, text))
 
 
+def _load_two_classes(args) -> PartitionedGraph:
+    """The --graph and --classes of an `embed` command, whose classes file
+    must hold exactly two classes."""
+    pg = _load_partitioned(args.graph, args.classes)
+    if pg.num_classes != 2:
+        raise MalformedInput(f"{args.classes}: {args.embed_command} needs exactly 2 classes")
+    return pg
+
+
 def _load_family(path: str, dim: int) -> VectorFamily:
     return _load(path, lambda text: VectorFamily.from_raw(dim, json.loads(text)))
 
@@ -210,9 +219,7 @@ def _cmd_transversal_solve(args) -> Report:
 
 
 def _cmd_embed_halforder(args) -> Report:
-    pg = _load_partitioned(args.graph, args.classes)
-    if pg.num_classes != 2:
-        raise MalformedInput(f"{args.classes}: halforder needs exactly 2 classes")
+    pg = _load_two_classes(args)
     params = {
         "graph": args.graph,
         "classes": args.classes,
@@ -239,7 +246,7 @@ def _cmd_embed_halforder(args) -> Report:
 
 
 def _cmd_embed_balanced(args) -> Report:
-    pg = _load_partitioned(args.graph, args.classes)
+    pg = _load_two_classes(args)
     pattern = _load(args.pattern, lambda text: BipartitePattern.from_json_dict(json.loads(text)))
     params = {
         "graph": args.graph,

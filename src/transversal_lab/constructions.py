@@ -285,22 +285,6 @@ def extension_property_holds(
 # ---------------------------------------------------------------------------
 
 
-def _subset_pairs_lex(ids: Sequence[int]):
-    """Pairs of subsets ordered by (total size, first set, second set)."""
-    n = len(ids)
-    for total in range(0, 2 * n + 1):
-        layer = []
-        for size_a in range(0, min(total, n) + 1):
-            size_b = total - size_a
-            if size_b > n:
-                continue
-            for aset in combinations(ids, size_a):
-                for bset in combinations(ids, size_b):
-                    layer.append((aset, bset))
-        layer.sort()
-        yield from layer
-
-
 def partition_extension_witness(
     g: UGraph, a: Iterable[int], b: Iterable[int], n: int, pair_budget: int
 ) -> PartitionedGraph:
@@ -313,6 +297,13 @@ def partition_extension_witness(
     b_k.  Returns classes V_0 = W u a and V_1 = b.  The input graph sits
     inside the output induced and identically labelled, and the output is
     K_n-free whenever g is.
+
+    Truncation lemma: with total = |V(g) u W|, the pairs in that order
+    begin ((), ()), then ((), (v,)) for each v < total, then ((v,), ()).
+    As total = g.order + pair_budget >= pair_budget, the first pair_budget
+    pairs are ((), ()) and ((), (v,)) for v < pair_budget - 1, so only
+    those are processed and each fresh vertex is created adjacent to at
+    most one vertex.
     """
     if has_clique(g, n):
         raise ValueError("input graph must be K_n-free")
@@ -324,22 +315,16 @@ def partition_extension_witness(
     total = g.order + pair_budget
     adj = list(g.adj) + [0] * pair_budget
     free_w = list(range(g.order, total))
-    processed = 0
-    for pair in _subset_pairs_lex(list(range(total))):
-        if processed >= pair_budget or not free_w:
-            break
-        processed += 1
-        a_k, b_k = pair
-        bmask = mask_of(b_k)
+    for k in range(pair_budget):
+        bmask = 1 << (k - 1) if k else 0  # b_k: (), then (k - 1,)
         if find_clique_in(adj, bmask, n - 1) is not None:
             continue
-        used = set(a_k) | set(b_k)
-        w = next((v for v in free_w if v not in used), None)
+        w = next((v for v in free_w if not bmask >> v & 1), None)
         if w is None:
             continue
         free_w.remove(w)
         adj[w] = bmask
-        for u in b_k:
+        for u in bits(bmask):
             adj[u] |= 1 << w
     graph = UGraph(total, adj)
     classes = (
@@ -360,39 +345,28 @@ def rado_partition_witness(depth: int) -> PartitionedGraph:
     classes.  Row 1 never gains internal edges, so every clique meets it
     in at most one vertex.
 
-    The index sequence m_j grows with every processed pair, so the pairs
-    whose a_j is nonempty (the only ones that add edges) must come first
-    within each size layer; comparing b_j before a_j achieves that.
+    Walk lemma: after ((), ()), which adds nothing, the walk reads
+    a_j = (v,), b_j = () for v = 0, 1, ..., so m_j is the running sum of
+    their row indices.  Over the first 2 * depth singletons these indices
+    sum to depth * (depth - 1), which is at least depth once depth >= 2,
+    so the walk stops inside this first run.  At depth 1 every row index
+    is 0, and every later pair only re-adds the edge 0-1.  The truncation
+    therefore adds the edges (v, 0)-(T(v), 0) for v >= 2 with
+    T(v) = v(v+1)/2 < depth (six at depth 30), the one edge
+    (1, 0)-(0, 1) at depth 2, and (0, 0)-(0, 1) at depth 1.
 
     Vertex (k, i) is numbered i * depth + k.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    adj = [0] * (2 * depth)
-    for k in range(depth):
-        for l in range(k + 1, depth):
-            a, b = k, depth + l
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-
-    def row_index(v: int) -> int:
-        return v % depth if v < depth else v - depth
-
-    m_prev = 0
-    for b_j, a_j in _subset_pairs_lex(list(range(2 * depth))):
-        members = a_j + b_j
-        top = max((row_index(v) for v in members), default=0)
-        m_j = top + m_prev
-        m_prev = m_j
-        if m_j >= depth:
+    half = half_graph(depth)
+    adj = list(half.graph.adj)
+    m = 0
+    for v in range(2 * depth):
+        m += v % depth  # the row index of v
+        if m >= depth:
             break
-        left = m_j  # vertex (m_j, 0)
-        for v in a_j:
-            if v != left:
-                adj[left] |= 1 << v
-                adj[v] |= 1 << left
-    graph = UGraph(2 * depth, adj)
-    return PartitionedGraph(
-        graph,
-        (frozenset(range(depth)), frozenset(range(depth, 2 * depth))),
-    )
+        if v != m:
+            adj[m] |= 1 << v
+            adj[v] |= 1 << m
+    return PartitionedGraph(UGraph(2 * depth, adj), half.classes)

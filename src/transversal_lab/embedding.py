@@ -37,12 +37,6 @@ class BipartitePattern:
             frozenset((int(a), int(b)) for a, b in data["edges"]),
         )
 
-    def right_neighbour_sets(self) -> list[frozenset[int]]:
-        return [
-            frozenset(a for a, b in self.cross_edges if b == j)
-            for j in range(self.right_size)
-        ]
-
 
 SINGLE_EDGE = BipartitePattern(1, 1, frozenset({(0, 0)}))
 
@@ -50,16 +44,6 @@ SINGLE_EDGE = BipartitePattern(1, 1, frozenset({(0, 0)}))
 # ---------------------------------------------------------------------------
 # half-graph order
 # ---------------------------------------------------------------------------
-
-
-def _side_mask(g: UGraph, side: Iterable[int]) -> int:
-    """The mask of a side; a vertex outside g raises ValueError."""
-    mask = 0
-    for v in side:
-        if not 0 <= v < g.order:
-            raise ValueError(f"vertex {v} outside 0..{g.order - 1}")
-        mask |= 1 << v
-    return mask
 
 
 @dataclass
@@ -123,7 +107,7 @@ def half_graph_order(
     """
     if exact_cap < 0:
         raise ValueError("exact_cap must be >= 0")
-    amask, bmask = _side_mask(g, a), _side_mask(g, b)
+    amask, bmask = g.vertex_mask(a), g.vertex_mask(b)
     return _half_graph_order(g, amask, bmask, exact_cap, Budget(node_budget))
 
 
@@ -270,7 +254,7 @@ def rich_pair_surrogate(
     its verdict names the budget in budget_reason, and is inconclusive
     unless the stopped half-graph phase had already certified order k.
     """
-    amask, bmask = _side_mask(g, a), _side_mask(g, b)
+    amask, bmask = g.vertex_mask(a), g.vertex_mask(b)
     if amask.bit_count() < k or bmask.bit_count() < k:
         raise ValueError("both sides must have at least k vertices")
     budget = Budget(node_budget)
@@ -353,71 +337,65 @@ def balanced_induced_embed(
     """Induced embedding of a bipartite pattern with its sides landing in
     the two distinct classes of the host.
 
-    Tries the left side in class 0 first, then in class 1; within an
-    assignment vertices are mapped in ascending host order with adjacency
-    signature pruning, so the first embedding found is the
+    Tries the left side in class 0 first, then in class 1.  Within an
+    assignment the pattern's vertices are placed in order, left 0..L-1
+    then right 0..R-1.  Vertex p tries the unused vertices of its class in
+    ascending order, spending one node on each, and keeps a candidate v
+    iff adj[v] & placed is the set of images of p's earlier pattern
+    neighbours: none for a left vertex, the images of its left neighbours
+    for a right vertex.  So the first embedding found is the
     lexicographically least under that preference order.
+
+    Lemma: that one test is the induced condition, vertex by vertex.  For
+    a left vertex, placed holds the earlier left images, so the test says
+    v is independent of them.  For a right vertex, placed holds the left
+    images and the earlier right images, so the test says v meets exactly
+    the wanted left images and no right image.  The unused vertices of the
+    class are class & ~placed, as the images in the other class lie
+    outside it.
     """
     if pattern.left_size < 1 or pattern.right_size < 1:
         raise ValueError("pattern sides must be nonempty")
     if host.num_classes != 2:
         raise ValueError("host must have exactly 2 classes")
     budget = Budget(node_budget)
-    g = host.graph
-    adj = g.adj
+    adj = host.graph.adj
     class_masks = host.class_masks()
-    right_nbrs = pattern.right_neighbour_sets()
+    size = pattern.left_size
+    wanted = [
+        [i for i in range(size) if (i, j) in pattern.cross_edges]
+        for j in range(pattern.right_size)
+    ]
+    images: list[int] = []
 
-    def try_assignment(left_cls: int) -> Optional[EmbeddingReport]:
-        lmask = class_masks[left_cls]
-        rmask = class_masks[1 - left_cls]
-        left_images: list[int] = []
-        right_images: list[int] = []
-
-        def place_right(j: int, used: int) -> bool:
-            if j == pattern.right_size:
-                return True
-            want = right_nbrs[j]
-            for v in bits(rmask & ~used):
-                if not budget.spend():
-                    raise BudgetExceeded
-                ok = all(
-                    g.has_edge(left_images[i], v) == (i in want)
-                    for i in range(pattern.left_size)
-                ) and not any(adj[v] & (1 << u) for u in right_images)
-                if ok:
-                    right_images.append(v)
-                    if place_right(j + 1, used | (1 << v)):
-                        return True
-                    right_images.pop()
-            return False
-
-        def place_left(i: int, used: int) -> bool:
-            if i == pattern.left_size:
-                return place_right(0, used)
-            for v in bits(lmask & ~used):
-                if not budget.spend():
-                    raise BudgetExceeded
-                if any(adj[v] & (1 << u) for u in left_images):
-                    continue
-                left_images.append(v)
-                if place_left(i + 1, used | (1 << v)):
+    def place(slots: list, p: int, placed: int) -> bool:
+        """Place pattern vertices p.. given slots[p] = (its class mask, the
+        left indices of its neighbours); True once all are placed."""
+        if p == len(slots):
+            return True
+        cls, nbrs = slots[p]
+        need = mask_of(images[i] for i in nbrs)
+        for v in bits(cls & ~placed):
+            if not budget.spend():
+                raise BudgetExceeded
+            if adj[v] & placed == need:
+                images.append(v)
+                if place(slots, p + 1, placed | 1 << v):
                     return True
-                left_images.pop()
-            return False
-
-        if place_left(0, 0):
-            return EmbeddingReport(
-                tuple(left_images), tuple(right_images), (left_cls, 1 - left_cls)
-            )
-        return None
+                images.pop()
+        return False
 
     for left_cls in (0, 1):
+        lmask, rmask = class_masks[left_cls], class_masks[1 - left_cls]
+        slots = [(lmask, [])] * size + [(rmask, nbrs) for nbrs in wanted]
         try:
-            report = try_assignment(left_cls)
+            found = place(slots, 0, 0)
         except BudgetExceeded:
             return EmbedOutcome(None, False, budget.nodes, budget.reason)
-        if report is not None:
+        if found:
+            report = EmbeddingReport(
+                tuple(images[:size]), tuple(images[size:]), (left_cls, 1 - left_cls)
+            )
             if not report.verify(host, pattern):
                 raise AssertionError("embedding failed its own re-verification")
             return EmbedOutcome(report, True, budget.nodes)

@@ -179,13 +179,22 @@ class UGraph:
         full = (1 << self.order) - 1
         return UGraph(self.order, [full ^ self.adj[v] ^ (1 << v) for v in range(self.order)])
 
+    def vertex_mask(self, vertices: Iterable[int]) -> int:
+        """The mask of the given vertices; a vertex outside 0..order-1
+        raises ValueError.  induced and the embedding analyzers take their
+        vertex sets through it, and is_independent raises through it, so
+        one mistake gets one message."""
+        mask = 0
+        for v in vertices:
+            if not 0 <= v < self.order:
+                raise ValueError(f"vertex {v} outside 0..{self.order - 1}")
+            mask |= 1 << v
+        return mask
+
     def induced(self, vertices: Iterable[int]) -> "UGraph":
         """Subgraph induced by the given vertices, relabelled in ascending
         order; a vertex outside 0..order-1 raises ValueError."""
-        verts = sorted(set(vertices))
-        for v in verts[:1] + verts[-1:]:
-            if not 0 <= v < self.order:
-                raise ValueError(f"vertex {v} outside 0..{self.order - 1}")
+        verts = list(bits(self.vertex_mask(vertices)))
         pos = {v: i for i, v in enumerate(verts)}
         adj = [0] * len(verts)
         for i, v in enumerate(verts):
@@ -359,10 +368,16 @@ def has_clique(g: UGraph, k: int) -> bool:
 
 
 def is_independent(g: UGraph, vertices: Iterable[int]) -> bool:
-    """True iff no two of the given vertices are adjacent in g."""
-    m = mask_of(vertices)
-    if m >> g.order:
-        raise ValueError("vertex set not contained in the graph")
+    """True iff no two of the given vertices are adjacent in g; a vertex
+    outside g raises ValueError.  The mask is built without a per-vertex
+    check, and UGraph.vertex_mask is asked only to name the bad vertex."""
+    try:
+        m = mask_of(vertices)
+    except ValueError:  # a negative vertex
+        m = -1
+    if m < 0 or m >> g.order:
+        g.vertex_mask(vertices)
+        raise ValueError("vertex set not contained in the graph")  # a spent iterator
     for v in bits(m):
         if g.adj[v] & m:
             return False

@@ -170,23 +170,20 @@ class RamseyTable:
 def two_colour_ramsey_holds(s: int, t: int, r: int) -> bool:
     """Brute force: does every red/blue colouring of K_r contain a red K_s
     or a blue K_t?  Only feasible for tiny r (used to verify R(3,3)=6).
+
+    Bit k of a colouring is the colour of the k-th pair i < j, 1 for
+    blue.  The clique kernel looks for a red K_s in the colouring's red
+    rows and, with flip=-1, for a blue K_t in their complement.
     """
     pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    idx = {p: k for k, p in enumerate(pairs)}
-
-    def has_mono(colouring: int, colour: int, size: int) -> bool:
-        from itertools import combinations
-
-        for combo in combinations(range(r), size):
-            if all(
-                ((colouring >> idx[(a, b)]) & 1) == colour
-                for a, b in ((a, b) for a in combo for b in combo if a < b)
-            ):
-                return True
-        return False
-
+    full = (1 << r) - 1
     for colouring in range(1 << len(pairs)):
-        if not has_mono(colouring, 0, s) and not has_mono(colouring, 1, t):
+        red = [0] * r
+        for k, (i, j) in enumerate(pairs):
+            if not colouring >> k & 1:
+                red[i] |= 1 << j
+                red[j] |= 1 << i
+        if find_clique_in(red, full, s) is None and find_clique_in(red, full, t, -1) is None:
             return False
     return True
 

@@ -13,10 +13,11 @@ import math
 import random
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from transversal_lab.canon import canonical_label
 from transversal_lab.constructions import PartitionedGraph
+from transversal_lab.embedding import BipartitePattern, EmbeddingReport, EmbedOutcome
 from transversal_lab.errors import BudgetExceeded, VerificationError
 from transversal_lab.graphs import (
     BitDigraph,
@@ -27,6 +28,7 @@ from transversal_lab.graphs import (
     digraph_independent,
     find_clique_in,
     find_transitive_in,
+    has_clique,
     has_independent_set,
     has_transitive_set,
     is_independent,
@@ -833,3 +835,254 @@ def naive_adjacency_faults(order: int, adj) -> set:
             if adj[u] >> v & 1 != adj[v] >> u & 1:
                 faults.add(("asym", u, v))
     return faults
+
+
+# ---------------------------------------------------------------------------
+# references kept from the two-class partition layer before its rewrite:
+# the two-closure balanced embedding, the two-row witnesses driven by the
+# subset-pair enumerator, and the combinations-based Ramsey brute force.
+# Apart from their names they are verbatim, except that the embedding
+# computes the right-neighbour sets inline.
+# ---------------------------------------------------------------------------
+
+
+def reference_balanced_induced_embed(
+    host: PartitionedGraph,
+    pattern: BipartitePattern,
+    *,
+    node_budget: Optional[int] = None,
+) -> EmbedOutcome:
+    """Induced embedding of a bipartite pattern with its sides landing in
+    the two distinct classes of the host.
+
+    Tries the left side in class 0 first, then in class 1; within an
+    assignment vertices are mapped in ascending host order with adjacency
+    signature pruning, so the first embedding found is the
+    lexicographically least under that preference order.
+    """
+    if pattern.left_size < 1 or pattern.right_size < 1:
+        raise ValueError("pattern sides must be nonempty")
+    if host.num_classes != 2:
+        raise ValueError("host must have exactly 2 classes")
+    budget = Budget(node_budget)
+    g = host.graph
+    adj = g.adj
+    class_masks = host.class_masks()
+    right_nbrs = [
+        frozenset(a for a, b in pattern.cross_edges if b == j)
+        for j in range(pattern.right_size)
+    ]
+
+    def try_assignment(left_cls: int) -> Optional[EmbeddingReport]:
+        lmask = class_masks[left_cls]
+        rmask = class_masks[1 - left_cls]
+        left_images: list[int] = []
+        right_images: list[int] = []
+
+        def place_right(j: int, used: int) -> bool:
+            if j == pattern.right_size:
+                return True
+            want = right_nbrs[j]
+            for v in bits(rmask & ~used):
+                if not budget.spend():
+                    raise BudgetExceeded
+                ok = all(
+                    g.has_edge(left_images[i], v) == (i in want)
+                    for i in range(pattern.left_size)
+                ) and not any(adj[v] & (1 << u) for u in right_images)
+                if ok:
+                    right_images.append(v)
+                    if place_right(j + 1, used | (1 << v)):
+                        return True
+                    right_images.pop()
+            return False
+
+        def place_left(i: int, used: int) -> bool:
+            if i == pattern.left_size:
+                return place_right(0, used)
+            for v in bits(lmask & ~used):
+                if not budget.spend():
+                    raise BudgetExceeded
+                if any(adj[v] & (1 << u) for u in left_images):
+                    continue
+                left_images.append(v)
+                if place_left(i + 1, used | (1 << v)):
+                    return True
+                left_images.pop()
+            return False
+
+        if place_left(0, 0):
+            return EmbeddingReport(
+                tuple(left_images), tuple(right_images), (left_cls, 1 - left_cls)
+            )
+        return None
+
+    for left_cls in (0, 1):
+        try:
+            report = try_assignment(left_cls)
+        except BudgetExceeded:
+            return EmbedOutcome(None, False, budget.nodes, budget.reason)
+        if report is not None:
+            if not report.verify(host, pattern):
+                raise AssertionError("embedding failed its own re-verification")
+            return EmbedOutcome(report, True, budget.nodes)
+    return EmbedOutcome(None, True, budget.nodes)
+
+
+def _subset_pairs_lex(ids: Sequence[int]):
+    """Pairs of subsets ordered by (total size, first set, second set)."""
+    n = len(ids)
+    for total in range(0, 2 * n + 1):
+        layer = []
+        for size_a in range(0, min(total, n) + 1):
+            size_b = total - size_a
+            if size_b > n:
+                continue
+            for aset in combinations(ids, size_a):
+                for bset in combinations(ids, size_b):
+                    layer.append((aset, bset))
+        layer.sort()
+        yield from layer
+
+
+def reference_partition_extension_witness(
+    g: UGraph, a: Iterable[int], b: Iterable[int], n: int, pair_budget: int
+) -> PartitionedGraph:
+    """Finite two-class extension of a K_n-free graph around a vertex split.
+
+    Fresh vertices W are appended after V(g).  The first pair_budget pairs
+    (a_k, b_k) of subsets of V(g) u W are processed in (total size, lex)
+    order: when b_k induces a K_{n-1}-free subgraph, the next still
+    isolated vertex of W outside a_k u b_k is connected to every vertex of
+    b_k.  Returns classes V_0 = W u a and V_1 = b.  The input graph sits
+    inside the output induced and identically labelled, and the output is
+    K_n-free whenever g is.
+    """
+    if has_clique(g, n):
+        raise ValueError("input graph must be K_n-free")
+    aset, bset = frozenset(a), frozenset(b)
+    if aset & bset or aset | bset != frozenset(range(g.order)):
+        raise ValueError("a and b must partition the vertices of g")
+    if pair_budget < 0:
+        raise ValueError("pair_budget must be >= 0")
+    total = g.order + pair_budget
+    adj = list(g.adj) + [0] * pair_budget
+    free_w = list(range(g.order, total))
+    processed = 0
+    for pair in _subset_pairs_lex(list(range(total))):
+        if processed >= pair_budget or not free_w:
+            break
+        processed += 1
+        a_k, b_k = pair
+        bmask = mask_of(b_k)
+        if find_clique_in(adj, bmask, n - 1) is not None:
+            continue
+        used = set(a_k) | set(b_k)
+        w = next((v for v in free_w if v not in used), None)
+        if w is None:
+            continue
+        free_w.remove(w)
+        adj[w] = bmask
+        for u in b_k:
+            adj[u] |= 1 << w
+    graph = UGraph(total, adj)
+    classes = (
+        frozenset(range(g.order, total)) | aset,
+        bset,
+    )
+    return PartitionedGraph(graph, classes)
+
+
+def reference_rado_partition_witness(depth: int) -> PartitionedGraph:
+    """Finite truncation of the half-graph-based two-row partition witness.
+
+    Start from the half graph on rows of size depth: (k, 0) ~ (l, 1) iff
+    k < l.  Pairs (a_j, b_j) of subsets of the vertex set are enumerated by
+    total size then lexicographically on (b_j, a_j); each step computes
+    m_j = max{k : (k, i) in a_j u b_j} + m_{j-1} and, while m_j stays below
+    depth, connects (m_j, 0) to every vertex of a_j.  Rows are the two
+    classes.  Row 1 never gains internal edges, so every clique meets it
+    in at most one vertex.
+
+    The index sequence m_j grows with every processed pair, so the pairs
+    whose a_j is nonempty (the only ones that add edges) must come first
+    within each size layer; comparing b_j before a_j achieves that.
+
+    Vertex (k, i) is numbered i * depth + k.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    adj = [0] * (2 * depth)
+    for k in range(depth):
+        for l in range(k + 1, depth):
+            a, b = k, depth + l
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+
+    def row_index(v: int) -> int:
+        return v % depth if v < depth else v - depth
+
+    m_prev = 0
+    for b_j, a_j in _subset_pairs_lex(list(range(2 * depth))):
+        members = a_j + b_j
+        top = max((row_index(v) for v in members), default=0)
+        m_j = top + m_prev
+        m_prev = m_j
+        if m_j >= depth:
+            break
+        left = m_j  # vertex (m_j, 0)
+        for v in a_j:
+            if v != left:
+                adj[left] |= 1 << v
+                adj[v] |= 1 << left
+    graph = UGraph(2 * depth, adj)
+    return PartitionedGraph(
+        graph,
+        (frozenset(range(depth)), frozenset(range(depth, 2 * depth))),
+    )
+
+
+def reference_two_colour_ramsey_holds(s: int, t: int, r: int) -> bool:
+    """Brute force: does every red/blue colouring of K_r contain a red K_s
+    or a blue K_t?  Only feasible for tiny r (used to verify R(3,3)=6).
+    """
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    idx = {p: k for k, p in enumerate(pairs)}
+
+    def has_mono(colouring: int, colour: int, size: int) -> bool:
+        from itertools import combinations
+
+        for combo in combinations(range(r), size):
+            if all(
+                ((colouring >> idx[(a, b)]) & 1) == colour
+                for a, b in ((a, b) for a in combo for b in combo if a < b)
+            ):
+                return True
+        return False
+
+    for colouring in range(1 << len(pairs)):
+        if not has_mono(colouring, 0, s) and not has_mono(colouring, 1, t):
+            return False
+    return True
+
+
+def naive_balanced_embed(host: PartitionedGraph, pattern) -> bool:
+    """Whether some injective map of the left side into one class and of
+    the right side into the other is an induced embedding, by trying every
+    such map under both side assignments."""
+    g = host.graph
+    left, right = range(pattern.left_size), range(pattern.right_size)
+    for left_cls in (0, 1):
+        for limg in permutations(sorted(host.classes[left_cls]), pattern.left_size):
+            if any(g.has_edge(u, v) for u, v in combinations(limg, 2)):
+                continue
+            for rimg in permutations(sorted(host.classes[1 - left_cls]), pattern.right_size):
+                if any(g.has_edge(u, v) for u, v in combinations(rimg, 2)):
+                    continue
+                if all(
+                    g.has_edge(limg[i], rimg[j]) == ((i, j) in pattern.cross_edges)
+                    for i in left
+                    for j in right
+                ):
+                    return True
+    return False

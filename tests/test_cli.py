@@ -409,6 +409,14 @@ MALFORMED_INPUTS = {
         ["embed", "balanced", "--graph", "h.g6", "--classes", "h.json", "--pattern", "bad"],
         '{"left": 1, "edges": [[0, 0]]}',
     ),
+    "three classes for embed halforder": (
+        ["embed", "halforder", "--graph", "h.g6", "--classes", "bad"],
+        '{"classes": [[0, 1], [2, 3], [4, 5]]}',
+    ),
+    "three classes for embed balanced": (
+        ["embed", "balanced", "--graph", "h.g6", "--classes", "bad", "--pattern", "p.json"],
+        '{"classes": [[0, 1], [2, 3], [4, 5]]}',
+    ),
     "missing input file": ([*_SOLVE, "--graph", "bad", "--classes", "h.json"], None),
     "unwritable out path": (["gen", "half", "--k", "2", "--out", "bad/half"], None),
 }

@@ -28,7 +28,13 @@ from transversal_lab.graphs import (
 )
 from transversal_lab.ramsey import circulant_digraph, enumerate_good_classes
 
-from oracles import naive_has_clique, reference_layered_from_digraph, reference_tensor
+from oracles import (
+    naive_has_clique,
+    reference_layered_from_digraph,
+    reference_partition_extension_witness,
+    reference_rado_partition_witness,
+    reference_tensor,
+)
 
 C3 = circulant_digraph(3, [1])
 TT3 = BitDigraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
@@ -280,6 +286,36 @@ class TestPartitionExtensionWitness:
         with pytest.raises(ValueError):
             partition_extension_witness(UGraph.empty(3), [0], [1], 3, 4)
 
+    def test_matches_the_subset_pair_walk(self):
+        rng = random.Random(47)
+        cases = 0
+        for n in (2, 3, 4):
+            graphs = 0
+            while graphs < 12:
+                order = rng.randint(0, 7)
+                p = rng.random()
+                g = UGraph.from_edges(order, [e for e in combinations(range(order), 2) if rng.random() < p])
+                if has_clique(g, n):
+                    continue
+                graphs += 1
+                verts = list(range(order))
+                rng.shuffle(verts)
+                cut = rng.randint(0, order)
+                a, b = verts[:cut], verts[cut:]
+                for pair_budget in [*range(12), 64]:
+                    got = partition_extension_witness(g, a, b, n, pair_budget)
+                    ref = reference_partition_extension_witness(g, a, b, n, pair_budget)
+                    assert (got.graph, got.classes) == (ref.graph, ref.classes)
+                    cases += 1
+        assert cases == 3 * 12 * 13
+
+    def test_fresh_vertices_start_with_at_most_one_neighbour(self):
+        # with E_2, n = 3 and six pairs, the pairs are ((), ()) and
+        # ((), (v,)) for v = 0..4: fresh vertex 2 is isolated and fresh
+        # vertex v + 3 hangs on v alone
+        pg = partition_extension_witness(UGraph.empty(2), [0], [1], 3, 6)
+        assert pg.graph.edges() == [(0, 3), (1, 4), (2, 5), (3, 6), (4, 7)]
+
 
 class TestRadoWitness:
     def test_row_1_stays_independent(self):
@@ -314,6 +350,23 @@ class TestRadoWitness:
 
     def test_deterministic(self):
         assert rado_partition_witness(12).graph == rado_partition_witness(12).graph
+
+    @pytest.mark.parametrize(
+        "depth, added",
+        [(2, [(1, 2)]), (3, []), (4, [(2, 3)]),
+         (30, [(2, 3), (3, 6), (4, 10), (5, 15), (6, 21), (7, 28)])],
+    )
+    def test_truncation_adds_the_triangular_edges(self, depth, added):
+        # (v, 0)-(T(v), 0) with T(v) = v(v+1)/2 < depth, and 1-2 at depth 2
+        pg = rado_partition_witness(depth)
+        skeleton = half_graph(depth).graph
+        assert [e for e in pg.graph.edges() if not skeleton.has_edge(*e)] == added
+        assert pg.graph.edge_count() == skeleton.edge_count() + len(added)
+
+    def test_matches_the_subset_pair_walk(self):
+        for depth in range(1, 41):
+            got, ref = rado_partition_witness(depth), reference_rado_partition_witness(depth)
+            assert (got.graph, got.classes) == (ref.graph, ref.classes)
 
 
 class TestPartitionedGraph:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,7 +19,11 @@ from transversal_lab.embedding import (
 )
 from transversal_lab.graphs import UGraph
 
-from oracles import naive_half_graph_order
+from oracles import (
+    naive_balanced_embed,
+    naive_half_graph_order,
+    reference_balanced_induced_embed,
+)
 
 
 def random_bipartite(rng, max_side=5, p=None):
@@ -28,6 +33,27 @@ def random_bipartite(rng, max_side=5, p=None):
         (i, na + j) for i in range(na) for j in range(nb) if rng.random() < p
     ]
     return UGraph.from_edges(na + nb, edges), range(na), range(na, na + nb)
+
+
+def random_embedding_case(rng, max_order=9):
+    """A random graph split into two classes at random, edges inside the
+    classes included, and a random pattern with sides of 1 to 3."""
+    order = rng.randint(2, max_order)
+    p = rng.random()
+    g = UGraph.from_edges(order, [e for e in combinations(range(order), 2) if rng.random() < p])
+    verts = list(range(order))
+    rng.shuffle(verts)
+    cut = rng.randint(1, order - 1)
+    host = PartitionedGraph(g, (frozenset(verts[:cut]), frozenset(verts[cut:])))
+    left, right = rng.randint(1, 3), rng.randint(1, 3)
+    edges = frozenset(
+        (i, j) for i in range(left) for j in range(right) if rng.random() < 0.5
+    )
+    return host, BipartitePattern(left, right, edges)
+
+
+def outcome(out):
+    return out.report, out.exact, out.nodes, out.budget_reason
 
 
 class TestHalfGraphOrder:
@@ -227,8 +253,51 @@ class TestBalancedInducedEmbed:
             out = balanced_induced_embed(host, pattern)
             if out.report is not None:
                 assert out.report.verify(host, pattern)
+            assert out.exact
+            assert (out.report is None) == (not naive_balanced_embed(host, pattern))
+
+    def test_reported_absence_is_real(self):
+        # edges inside the classes make the induced condition bite on both
+        # sides; about a quarter of the cases have an embedding
+        rng = random.Random(7)
+        found = 0
+        for _ in range(150):
+            host, pattern = random_embedding_case(rng, max_order=8)
+            out = balanced_induced_embed(host, pattern)
+            assert out.exact
+            assert (out.report is None) == (not naive_balanced_embed(host, pattern))
+            found += out.report is not None
+        assert 20 <= found <= 130
 
     def test_host_needs_two_classes(self):
         pg = PartitionedGraph(UGraph.empty(2), (frozenset({0, 1}),))
         with pytest.raises(ValueError):
             balanced_induced_embed(pg, SINGLE_EDGE)
+
+
+class TestReferenceEquivalence:
+    """The one-recursion walk against the two-closure walk it replaced:
+    same report, exactness, node count and budget reason."""
+
+    def test_unbudgeted(self):
+        rng = random.Random(19)
+        found = 0
+        for _ in range(400):
+            host, pattern = random_embedding_case(rng)
+            got = balanced_induced_embed(host, pattern)
+            assert outcome(got) == outcome(reference_balanced_induced_embed(host, pattern))
+            found += got.report is not None
+        assert 50 <= found <= 350
+
+    def test_every_budget(self):
+        rng = random.Random(23)
+        stopped = 0
+        for _ in range(40):
+            host, pattern = random_embedding_case(rng)
+            nodes = balanced_induced_embed(host, pattern).nodes
+            for budget in range(nodes + 2):
+                got = balanced_induced_embed(host, pattern, node_budget=budget)
+                ref = reference_balanced_induced_embed(host, pattern, node_budget=budget)
+                assert outcome(got) == outcome(ref)
+                stopped += got.budget_reason is not None
+        assert stopped >= 2000

@@ -236,6 +236,13 @@ class TestIndependence:
         g = UGraph.empty(5)
         assert is_independent(g, {0, 2, 4})
 
+    @pytest.mark.parametrize("vertices, bad", [([-1], -1), ([0, 5], 5)])
+    def test_vertex_outside_the_graph_named(self, vertices, bad):
+        # -1 used to raise "negative shift count", 5 "vertex set not
+        # contained in the graph"
+        with pytest.raises(ValueError, match=rf"vertex {bad} outside 0\.\.2"):
+            is_independent(UGraph.empty(3), vertices)
+
     def test_half_graph_side(self):
         from transversal_lab.constructions import half_graph
 

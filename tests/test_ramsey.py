@@ -41,6 +41,7 @@ from oracles import (
     reference_good_children,
     reference_local_search,
     reference_probe_circulants,
+    reference_two_colour_ramsey_holds,
 )
 
 C3 = BitDigraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -317,6 +318,10 @@ class TestRamseyTable:
 
     def test_k4_colouring_exists_without_mono_triangle(self):
         assert not two_colour_ramsey_holds(3, 3, 4)
+
+    def test_matches_the_combinations_brute_force(self):
+        for s, t, r in product(range(1, 5), range(1, 5), range(6)):
+            assert two_colour_ramsey_holds(s, t, r) == reference_two_colour_ramsey_holds(s, t, r)
 
 
 class TestCirculants:
