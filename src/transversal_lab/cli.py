@@ -2,10 +2,13 @@
 solvers, orthogonality searches.
 
 Every command except `gen` prints one RunReport JSON object to stdout:
-each report command returns (command, params, result, nodes) and `main`
-builds, times and prints the report.  Reports are deterministic for
-identical parameters and seeds (timing fields excluded), and every witness
-they carry has passed its re-verification predicate at emission time.
+each report command returns (result, nodes), and `main` builds, times and
+prints the report.  Its command and params come off the parser: the
+command is the subcommand names, and the params are the leaf command's
+flags as parsed, under their argparse dests.  Reports are deterministic
+for identical parameters and seeds (timing fields excluded), and every
+witness they carry has passed its re-verification predicate at emission
+time.
 
 Exit codes: 0 success (including "none" answers); 2 bad flag values;
 3 any unreadable, empty or malformed input file (graph6, digraph6,
@@ -54,8 +57,10 @@ EXIT_IO = 3
 EXIT_VERIFY = 4
 
 T = TypeVar("T")
-# (command, params, result, nodes); nodes is None for commands that search nothing
-Report = tuple[str, dict, dict, Optional[int]]
+# (result, nodes); nodes is None for commands that search nothing
+Report = tuple[dict, Optional[int]]
+# the subparser dests, which name a report's command and are not its params
+_ROUTE = ("command", "dr_command", "tr_command", "embed_command", "ortho_command", "generator")
 
 
 def _load(path: str, parse: Callable[[str], T]) -> T:
@@ -109,28 +114,20 @@ def _write_or_print(lines: list[str], out: Optional[str], suffixes: list[str]) -
 
 
 def _cmd_dr_compute(args) -> Report:
-    params = {
-        "n": args.n,
-        "m": args.m,
-        "max_order": args.max_order,
-        "budget_nodes": args.budget_nodes,
-        "budget_secs": args.budget_secs,
-        "probe": not args.no_probe,
-    }
     result = search_dr(
         args.n,
         args.m,
         max_order=args.max_order,
         node_budget=args.budget_nodes,
         time_budget=args.budget_secs,
-        probe=not args.no_probe,
+        probe=args.probe,
     )
     cert_line = None
     if result.certificate is not None:
         if not result.certificate.reverify():
             raise VerificationError("certificate failed re-verification before emission")
         cert_line = encode_digraph6(result.certificate.digraph)
-    payload = {
+    return {
         "lower": result.lower,
         "upper": result.upper,
         "exact": result.exact,
@@ -140,14 +137,13 @@ def _cmd_dr_compute(args) -> Report:
         "certificate_order": result.certificate.order if result.certificate else None,
         "budget_hit": result.budget_hit,
         "budget_reason": result.budget_reason,
-        "level_counts": list(result.level_counts),
-    }
-    return "dr compute", params, payload, result.nodes
+        "level_counts": result.level_counts,
+    }, result.nodes
 
 
 def _cmd_dr_bounds(args) -> Report:
     lo, hi = dr_bounds(args.n, args.m)
-    return "dr bounds", {"n": args.n, "m": args.m}, {"lower": lo, "upper": hi, "exact": lo == hi}, None
+    return {"lower": lo, "upper": hi, "exact": lo == hi}, None
 
 
 # ---------------------------------------------------------------------------
@@ -197,35 +193,21 @@ def _cmd_gen(args) -> None:
 
 def _cmd_transversal_solve(args) -> Report:
     pg = _load_partitioned(args.graph, args.classes)
-    params = {
-        "graph": args.graph,
-        "classes": args.classes,
-        "m": args.m,
-        "ell": args.ell,
-        "budget_nodes": args.budget_nodes,
-    }
     res = find_transversal(pg, args.m, args.ell, node_budget=args.budget_nodes)
     if not res.verify(pg, args.m, args.ell):
         raise VerificationError("transversal result failed re-verification")
-    payload = {
+    return {
         "status": res.status,
         "witness": sorted(res.witness) if res.witness is not None else None,
-        "profile": list(res.profile),
+        "profile": res.profile,
         "nodes_explored": res.nodes,
         "exact": res.status != "budget",
         "budget_reason": res.budget_reason,
-    }
-    return "transversal solve", params, payload, res.nodes
+    }, res.nodes
 
 
 def _cmd_embed_halforder(args) -> Report:
     pg = _load_two_classes(args)
-    params = {
-        "graph": args.graph,
-        "classes": args.classes,
-        "exact_cap": args.exact_cap,
-        "budget_nodes": args.budget_nodes,
-    }
     res = half_graph_order(
         pg.graph,
         pg.classes[0],
@@ -235,69 +217,52 @@ def _cmd_embed_halforder(args) -> Report:
     )
     if res.order > 0 and not res.verify(pg.graph):
         raise VerificationError("half-graph witness failed re-verification")
-    payload = {
+    return {
         "order": res.order,
         "exact": res.exact,
-        "a_sequence": list(res.a_sequence),
-        "b_sequence": list(res.b_sequence),
+        "a_sequence": res.a_sequence,
+        "b_sequence": res.b_sequence,
         "budget_reason": res.budget_reason,
-    }
-    return "embed halforder", params, payload, res.nodes
+    }, res.nodes
 
 
 def _cmd_embed_balanced(args) -> Report:
     pg = _load_two_classes(args)
     pattern = _load(args.pattern, lambda text: BipartitePattern.from_json_dict(json.loads(text)))
-    params = {
-        "graph": args.graph,
-        "classes": args.classes,
-        "pattern": args.pattern,
-        "budget_nodes": args.budget_nodes,
-    }
     out = balanced_induced_embed(pg, pattern, node_budget=args.budget_nodes)
     if out.report is not None and not out.report.verify(pg, pattern):
         raise VerificationError("embedding failed re-verification")
-    payload = {
+    return {
         "found": out.report is not None,
         "exact": out.exact,
-        "left_images": list(out.report.left_images) if out.report else None,
-        "right_images": list(out.report.right_images) if out.report else None,
-        "side_assignment": list(out.report.side_assignment) if out.report else None,
+        "left_images": out.report.left_images if out.report else None,
+        "right_images": out.report.right_images if out.report else None,
+        "side_assignment": out.report.side_assignment if out.report else None,
         "budget_reason": out.budget_reason,
-    }
-    return "embed balanced", params, payload, out.nodes
+    }, out.nodes
 
 
 def _cmd_ortho_check(args) -> Report:
     family = _load_family(args.family, args.dim)
-    params = {"family": args.family, "dim": args.dim, "m": args.m}
-    payload = {"ok": alpha_check(family, args.m), "family_size": len(family)}
-    return "ortho check", params, payload, None
+    return {"ok": alpha_check(family, args.m), "family_size": len(family)}, None
 
 
 def _cmd_ortho_search(args) -> Report:
     if args.pool:
         pool = _load_family(args.pool, args.dim)
+        args.pool_height = None  # a pool file leaves the height unused, and the report says so
     else:
         pool = directions_of_height(args.dim, args.pool_height)
-    params = {
-        "dim": args.dim,
-        "m": args.m,
-        "pool": args.pool,
-        "pool_height": None if args.pool else args.pool_height,
-        "budget_nodes": args.budget_nodes,
-    }
     res = alpha_lower_search(args.dim, args.m, pool, node_budget=args.budget_nodes)
     if not alpha_check(res.family, args.m):
         raise VerificationError("search result failed its alpha re-check")
-    payload = {
+    return {
         "alpha_lower": len(res.family),
         "exact_over_pool": res.exact,
         "budget_reason": res.budget_reason,
         "pool_size": len(pool),
-        "family": res.family.to_json_obj(),
-    }
-    return "ortho search", params, payload, res.nodes
+        "family": res.family.vectors,
+    }, res.nodes
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--max-order", type=int, default=None)
     p_compute.add_argument("--budget-nodes", type=int, default=5_000_000)
     p_compute.add_argument("--budget-secs", type=float, default=None)
-    p_compute.add_argument("--no-probe", action="store_true")
+    p_compute.add_argument("--no-probe", dest="probe", action="store_false")
     p_compute.set_defaults(func=_cmd_dr_compute)
     p_bounds = dr_sub.add_parser("bounds", help="bound dr(n, m) without searching")
     p_bounds.add_argument("--n", type=int, required=True)
@@ -411,10 +376,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         out = args.func(args)
         line = None  # gen prints its own lines
         if out is not None:
-            command, params, result, nodes = out
+            result, nodes = out
+            given = vars(args)
             report = {
-                "command": command,
-                "params": params,
+                "command": " ".join(given[key] for key in _ROUTE if key in given),
+                "params": {k: v for k, v in given.items() if k not in _ROUTE and k != "func"},
                 "result": result,
                 "version": __version__,
                 "timing": {"seconds": round(time.monotonic() - started, 6)},

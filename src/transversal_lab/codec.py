@@ -6,10 +6,16 @@ Bit layout follows the published format description exactly:
   followed by three bytes holding n in 18 big-endian bits; for larger n
   (up to 2^36 - 1) two '~' bytes followed by six bytes holding 36 bits.
 * graph6: N(n) followed by the upper triangle of the adjacency matrix in
-  column order (x_{0,1}, x_{0,2}, x_{1,2}, x_{0,3}, ...), packed into
-  6-bit groups, zero-padded, each group + 63.
+  column order (x_{0,1}, x_{0,2}, x_{1,2}, x_{0,3}, ...).
 * digraph6: '&' then N(n) followed by all n*n adjacency bits in row-major
-  order (bit i*n+j set iff arc i->j), packed the same way.
+  order (bit i*n+j set iff arc i->j).
+
+Both bodies are built as one string of '0'/'1' characters and packed by
+`_pack` into 6-bit groups, zero-padded, each group + 63.  Column j of
+graph6 is x_{0,j} .. x_{j-1,j}, which are the low j bits of row j read
+from bit 0 upwards; row i of digraph6 is the n bits of out[i] read the
+same way.  Each is one reversed `format(row, "0{w}b")`, and decoding
+reads it back with one `int(chunk[::-1], 2)`.
 
 Decoding accepts the optional ">>graph6<<" / ">>digraph6<<" headers and is
 strict about length and padding.
@@ -18,10 +24,12 @@ strict about length and padding.
 from __future__ import annotations
 
 from .errors import MalformedInput
-from .graphs import BitDigraph, UGraph
+from .graphs import BitDigraph, UGraph, bits
 
 _GRAPH6_HEADER = ">>graph6<<"
 _DIGRAPH6_HEADER = ">>digraph6<<"
+# str.translate table: each data byte to its 6 bits, high bit first
+_SEXTETS = {v + 63: format(v, "06b") for v in range(64)}
 
 
 def _encode_order(n: int) -> str:
@@ -30,77 +38,55 @@ def _encode_order(n: int) -> str:
     if n <= 62:
         return chr(n + 63)
     if n <= 258047:
-        return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+        return "~" + _pack(format(n, "018b"))
     if n <= 68719476735:
-        return "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
+        return "~~" + _pack(format(n, "036b"))
     raise MalformedInput(f"order {n} exceeds format range")
 
 
-def _decode_order(data: str) -> tuple[int, str]:
-    if not data:
-        raise MalformedInput("empty input")
-    if data[0] != "~":
-        n = ord(data[0]) - 63
-        if not 0 <= n <= 62:
-            raise MalformedInput(f"bad order byte {data[0]!r}")
-        return n, data[1:]
-    if len(data) >= 2 and data[1] != "~":
-        if len(data) < 4:
-            raise MalformedInput("truncated 3-byte order")
-        n = 0
-        for ch in data[1:4]:
-            v = ord(ch) - 63
-            if not 0 <= v <= 63:
-                raise MalformedInput(f"bad order byte {ch!r}")
-            n = (n << 6) | v
-        return n, data[4:]
-    if len(data) < 8:
-        raise MalformedInput("truncated 6-byte order")
+def _from_bytes(data: str) -> int:
+    """The big-endian value of order bytes, 6 bits each."""
     n = 0
-    for ch in data[2:8]:
+    for ch in data:
         v = ord(ch) - 63
         if not 0 <= v <= 63:
             raise MalformedInput(f"bad order byte {ch!r}")
         n = (n << 6) | v
-    return n, data[8:]
+    return n
 
 
-def _pack_bits(bits_seq: list[int]) -> str:
-    out = []
-    for i in range(0, len(bits_seq), 6):
-        group = bits_seq[i : i + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+def _decode_order(data: str) -> tuple[int, str]:
+    """N(n) off the front of data: one byte, '~' and 3 bytes, or '~~' and
+    6 bytes.  Returns n and the rest."""
+    if not data:
+        raise MalformedInput("empty input")
+    start, width = (0, 1) if data[0] != "~" else (1, 3) if data[1:2] != "~" else (2, 6)
+    if len(data) < start + width:
+        raise MalformedInput(f"truncated {width}-byte order")
+    return _from_bytes(data[start : start + width]), data[start + width :]
 
 
-def _unpack_bits(data: str, nbits: int) -> list[int]:
+def _pack(body: str) -> str:
+    body += "0" * (-len(body) % 6)
+    return "".join(chr(int(body[i : i + 6], 2) + 63) for i in range(0, len(body), 6))
+
+
+def _unpack(data: str, nbits: int) -> str:
     need = (nbits + 5) // 6
     if len(data) != need:
         raise MalformedInput(f"expected {need} data bytes, got {len(data)}")
-    bits_seq: list[int] = []
-    for ch in data:
-        v = ord(ch) - 63
-        if not 0 <= v <= 63:
-            raise MalformedInput(f"bad data byte {ch!r}")
-        for s in range(5, -1, -1):
-            bits_seq.append((v >> s) & 1)
-    for b in bits_seq[nbits:]:
-        if b:
-            raise MalformedInput("nonzero padding bits")
-    return bits_seq[:nbits]
+    body = data.translate(_SEXTETS)
+    if len(body) != 6 * need:  # a byte outside '?'..'~' stays one character
+        bad = next(ch for ch in data if not "?" <= ch <= "~")
+        raise MalformedInput(f"bad data byte {bad!r}")
+    if "1" in body[nbits:]:
+        raise MalformedInput("nonzero padding bits")
+    return body[:nbits]
 
 
 def encode_graph6(g: UGraph) -> str:
-    n = g.order
-    bits_seq = []
-    for j in range(1, n):
-        for i in range(j):
-            bits_seq.append((g.adj[i] >> j) & 1)
-    return _encode_order(n) + _pack_bits(bits_seq)
+    body = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.order))
+    return _encode_order(g.order) + _pack(body)
 
 
 def decode_graph6(line: str) -> UGraph:
@@ -108,26 +94,19 @@ def decode_graph6(line: str) -> UGraph:
     if data.startswith(_GRAPH6_HEADER):
         data = data[len(_GRAPH6_HEADER) :]
     n, rest = _decode_order(data)
-    nbits = n * (n - 1) // 2
-    bits_seq = _unpack_bits(rest, nbits)
+    body = _unpack(rest, n * (n - 1) // 2)
     adj = [0] * n
-    k = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits_seq[k]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
+        # column j starts after the j*(j-1)/2 bits of columns 1..j-1
+        adj[j] = int(body[j * (j - 1) // 2 : j * (j + 1) // 2][::-1], 2)
+        for i in bits(adj[j]):
+            adj[i] |= 1 << j
     return UGraph(n, adj)
 
 
 def encode_digraph6(d: BitDigraph) -> str:
     n = d.order
-    bits_seq = []
-    for i in range(n):
-        for j in range(n):
-            bits_seq.append((d.out[i] >> j) & 1)
-    return "&" + _encode_order(n) + _pack_bits(bits_seq)
+    return "&" + _encode_order(n) + _pack("".join(format(row, f"0{n}b")[::-1] for row in d.out))
 
 
 def decode_digraph6(line: str) -> BitDigraph:
@@ -137,12 +116,9 @@ def decode_digraph6(line: str) -> BitDigraph:
     if not data.startswith("&"):
         raise MalformedInput("digraph6 line must start with '&'")
     n, rest = _decode_order(data[1:])
-    bits_seq = _unpack_bits(rest, n * n)
-    out = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if bits_seq[i * n + j]:
-                if i == j:
-                    raise MalformedInput(f"self-loop at vertex {i}")
-                out[i] |= 1 << j
+    body = _unpack(rest, n * n)
+    out = [int(body[i * n : (i + 1) * n][::-1], 2) for i in range(n)]
+    for i, row in enumerate(out):
+        if (row >> i) & 1:
+            raise MalformedInput(f"self-loop at vertex {i}")
     return BitDigraph(n, out)

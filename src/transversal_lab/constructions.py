@@ -60,8 +60,12 @@ class PartitionedGraph:
 
     @classmethod
     def from_classes_json(cls, graph: UGraph, text: str) -> "PartitionedGraph":
-        data = json.loads(text)
-        return cls(graph, tuple(frozenset(c) for c in data["classes"]))
+        """The partition {"classes": [[v, ...], ...]} of graph, whose vertices
+        must be JSON integers: true is refused, not read as vertex 1."""
+        classes = json.loads(text)["classes"]
+        if any(type(v) is not int for c in classes for v in c):
+            raise ValueError("class vertices must be integers")
+        return cls(graph, tuple(frozenset(c) for c in classes))
 
 
 def spread(mask: int, width: int) -> int:
@@ -272,11 +276,12 @@ def extension_property_holds(
 ) -> bool:
     """Exhaustively check the K_n-free extension property over a vertex set:
     every disjoint (A, B) with |A u B| <= pair_cap and B K_{n-1}-free has a
-    witness vertex in g avoiding A and dominating B."""
+    witness vertex in g avoiding A and dominating B.  A base vertex
+    outside 0..order-1 raises ValueError."""
     return all(
         find_clique_in(g.adj, bmask, n - 1) is not None
         or _has_extension_witness(g.adj, amask, bmask)
-        for amask, bmask in _extension_pairs(sorted(base_vertices), pair_cap)
+        for amask, bmask in _extension_pairs(list(bits(g.vertex_mask(base_vertices))), pair_cap)
     )
 
 

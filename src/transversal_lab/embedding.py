@@ -31,11 +31,13 @@ class BipartitePattern:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BipartitePattern":
-        return cls(
-            int(data["left"]),
-            int(data["right"]),
-            frozenset((int(a), int(b)) for a, b in data["edges"]),
-        )
+        """The pattern {"left": L, "right": R, "edges": [[i, j], ...]}, whose
+        numbers must all be JSON integers: 1.7 or true is refused, not
+        truncated."""
+        left, right, edges = data["left"], data["right"], [(a, b) for a, b in data["edges"]]
+        if any(type(x) is not int for x in (left, right, *(x for edge in edges for x in edge))):
+            raise ValueError("pattern sizes and edge ends must be integers")
+        return cls(left, right, frozenset(edges))
 
 
 SINGLE_EDGE = BipartitePattern(1, 1, frozenset({(0, 0)}))
@@ -254,6 +256,8 @@ def rich_pair_surrogate(
     its verdict names the budget in budget_reason, and is inconclusive
     unless the stopped half-graph phase had already certified order k.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     amask, bmask = g.vertex_mask(a), g.vertex_mask(b)
     if amask.bit_count() < k or bmask.bit_count() < k:
         raise ValueError("both sides must have at least k vertices")

@@ -75,9 +75,6 @@ class VectorFamily:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def to_json_obj(self) -> list[list[int]]:
-        return [list(v) for v in self.vectors]
-
 
 def dot(u: RatVec, v: RatVec) -> int:
     return sum(a * b for a, b in zip(u, v))

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from transversal_lab.canon import canonical_label
 from transversal_lab.constructions import PartitionedGraph
 from transversal_lab.embedding import BipartitePattern, EmbeddingReport, EmbedOutcome
-from transversal_lab.errors import BudgetExceeded, VerificationError
+from transversal_lab.errors import BudgetExceeded, MalformedInput, VerificationError
 from transversal_lab.graphs import (
     BitDigraph,
     Budget,
@@ -1086,3 +1086,132 @@ def naive_balanced_embed(host: PartitionedGraph, pattern) -> bool:
                 ):
                     return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# reference graph6 / digraph6 codec: one list entry per bit, one loop per
+# order width, packed and unpacked group by group
+# ---------------------------------------------------------------------------
+
+
+def _reference_decode_order(data: str) -> tuple[int, str]:
+    if not data:
+        raise MalformedInput("empty input")
+    if data[0] != "~":
+        n = ord(data[0]) - 63
+        if not 0 <= n <= 62:
+            raise MalformedInput(f"bad order byte {data[0]!r}")
+        return n, data[1:]
+    if len(data) >= 2 and data[1] != "~":
+        if len(data) < 4:
+            raise MalformedInput("truncated 3-byte order")
+        n = 0
+        for ch in data[1:4]:
+            v = ord(ch) - 63
+            if not 0 <= v <= 63:
+                raise MalformedInput(f"bad order byte {ch!r}")
+            n = (n << 6) | v
+        return n, data[4:]
+    if len(data) < 8:
+        raise MalformedInput("truncated 6-byte order")
+    n = 0
+    for ch in data[2:8]:
+        v = ord(ch) - 63
+        if not 0 <= v <= 63:
+            raise MalformedInput(f"bad order byte {ch!r}")
+        n = (n << 6) | v
+    return n, data[8:]
+
+
+def _reference_encode_order(n: int) -> str:
+    if n < 0:
+        raise MalformedInput("negative order")
+    if n <= 62:
+        return chr(n + 63)
+    if n <= 258047:
+        return "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    if n <= 68719476735:
+        return "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
+    raise MalformedInput(f"order {n} exceeds format range")
+
+
+def _reference_pack_bits(bits_seq: list[int]) -> str:
+    out = []
+    for i in range(0, len(bits_seq), 6):
+        group = bits_seq[i : i + 6]
+        group += [0] * (6 - len(group))
+        val = 0
+        for b in group:
+            val = (val << 1) | b
+        out.append(chr(val + 63))
+    return "".join(out)
+
+
+def _reference_unpack_bits(data: str, nbits: int) -> list[int]:
+    need = (nbits + 5) // 6
+    if len(data) != need:
+        raise MalformedInput(f"expected {need} data bytes, got {len(data)}")
+    bits_seq: list[int] = []
+    for ch in data:
+        v = ord(ch) - 63
+        if not 0 <= v <= 63:
+            raise MalformedInput(f"bad data byte {ch!r}")
+        for s in range(5, -1, -1):
+            bits_seq.append((v >> s) & 1)
+    for b in bits_seq[nbits:]:
+        if b:
+            raise MalformedInput("nonzero padding bits")
+    return bits_seq[:nbits]
+
+
+def reference_encode_graph6(g: UGraph) -> str:
+    n = g.order
+    bits_seq = []
+    for j in range(1, n):
+        for i in range(j):
+            bits_seq.append((g.adj[i] >> j) & 1)
+    return _reference_encode_order(n) + _reference_pack_bits(bits_seq)
+
+
+def reference_decode_graph6(line: str) -> UGraph:
+    data = line.strip()
+    if data.startswith(">>graph6<<"):
+        data = data[len(">>graph6<<") :]
+    n, rest = _reference_decode_order(data)
+    bits_seq = _reference_unpack_bits(rest, n * (n - 1) // 2)
+    adj = [0] * n
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits_seq[k]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            k += 1
+    return UGraph(n, adj)
+
+
+def reference_encode_digraph6(d: BitDigraph) -> str:
+    n = d.order
+    bits_seq = []
+    for i in range(n):
+        for j in range(n):
+            bits_seq.append((d.out[i] >> j) & 1)
+    return "&" + _reference_encode_order(n) + _reference_pack_bits(bits_seq)
+
+
+def reference_decode_digraph6(line: str) -> BitDigraph:
+    data = line.strip()
+    if data.startswith(">>digraph6<<"):
+        data = data[len(">>digraph6<<") :]
+    if not data.startswith("&"):
+        raise MalformedInput("digraph6 line must start with '&'")
+    n, rest = _reference_decode_order(data[1:])
+    bits_seq = _reference_unpack_bits(rest, n * n)
+    out = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if bits_seq[i * n + j]:
+                if i == j:
+                    raise MalformedInput(f"self-loop at vertex {i}")
+                out[i] |= 1 << j
+    return BitDigraph(n, out)

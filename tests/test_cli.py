@@ -326,8 +326,10 @@ def write_inputs(tmp_path):
     (tmp_path / "c3.d6").write_text(encode_digraph6(circulant_digraph(3, [1])) + "\n")
 
 
-# one whole report per report command, timing aside: a changed key, value
-# or top-level nodes count fails here
+# one whole report per report command, timing aside, and one each for the
+# two params that are not a flag's plain value (--no-probe reads as probe,
+# and --pool makes pool_height null): a changed key, value or top-level
+# nodes count fails here
 PINNED_REPORTS = {
     "dr bounds": (
         ["dr", "bounds", "--n", "3", "--m", "4"],
@@ -347,6 +349,23 @@ PINNED_REPORTS = {
         ["ortho", "check", "--family", "fam.json", "--dim", "2", "--m", "2"],
         {"command": "ortho check", "params": {"dim": 2, "family": "fam.json", "m": 2},
          "result": {"family_size": 4, "ok": True}},
+    ),
+    "dr compute --no-probe": (
+        ["dr", "compute", "--n", "3", "--m", "3", "--no-probe"],
+        {"command": "dr compute", "nodes": 1056,
+         "params": {"budget_nodes": 5000000, "budget_secs": None, "m": 3, "max_order": None,
+                    "n": 3, "probe": False},
+         "result": {"budget_hit": False, "budget_reason": None, "certificate": "&G?oTAoI?oB@_",
+                    "certificate_order": 8, "exact": True,
+                    "level_counts": [1, 3, 9, 38, 80, 66, 10, 1, 0], "lower": 9,
+                    "proof_method": "exhaustive", "upper": 9, "value": 9}},
+    ),
+    "ortho search --pool": (
+        ["ortho", "search", "--dim", "2", "--m", "2", "--pool", "fam.json"],
+        {"command": "ortho search", "nodes": 9,
+         "params": {"budget_nodes": None, "dim": 2, "m": 2, "pool": "fam.json", "pool_height": None},
+         "result": {"alpha_lower": 4, "budget_reason": None, "exact_over_pool": True,
+                    "family": [[0, 1], [1, -1], [1, 0], [1, 1]], "pool_size": 4}},
     ),
     "ortho search": (
         ["ortho", "search", "--dim", "2", "--m", "2", "--pool-height", "1"],
@@ -408,6 +427,13 @@ MALFORMED_INPUTS = {
     "pattern without right": (
         ["embed", "balanced", "--graph", "h.g6", "--classes", "h.json", "--pattern", "bad"],
         '{"left": 1, "edges": [[0, 0]]}',
+    ),
+    "pattern with float numbers": (
+        ["embed", "balanced", "--graph", "h.g6", "--classes", "h.json", "--pattern", "bad"],
+        '{"left": 1.7, "right": 1, "edges": [[0.9, 0]]}',
+    ),
+    "classes holding true": (
+        [*_SOLVE, "--graph", "h.g6", "--classes", "bad"], '{"classes": [[0, true, 2], [3, 4, 5]]}'
     ),
     "three classes for embed halforder": (
         ["embed", "halforder", "--graph", "h.g6", "--classes", "bad"],

@@ -12,6 +12,13 @@ from transversal_lab.codec import (
 from transversal_lab.errors import MalformedInput
 from transversal_lab.graphs import BitDigraph, UGraph
 
+from oracles import (
+    reference_decode_digraph6,
+    reference_decode_graph6,
+    reference_encode_digraph6,
+    reference_encode_graph6,
+)
+
 
 def random_graph(order, rng, p=0.5):
     edges = [
@@ -31,6 +38,14 @@ def random_digraph(order, rng, p=0.5):
         if i != j and rng.random() < p
     ]
     return BitDigraph.from_arcs(order, arcs)
+
+
+def outcome(decode, line):
+    """What decoding line gives: the decoded value, or MalformedInput."""
+    try:
+        return decode(line)
+    except MalformedInput:
+        return MalformedInput
 
 
 class TestGraph6:
@@ -121,3 +136,57 @@ class TestDigraph6:
         back = decode_digraph6(encode_digraph6(d))
         assert back.has_arc(0, 1) and back.has_arc(1, 0)
         assert back.has_arc(2, 3) and not back.has_arc(3, 2)
+
+
+class TestAgainstReference:
+    """The codec against the one-entry-per-bit reference in oracles."""
+
+    def test_encodings_match_on_orders_0_to_128(self):
+        rng = random.Random(6363)
+        for order in range(129):
+            for p in (rng.random(), 1.0):
+                g = random_graph(order, rng, p)
+                line = encode_graph6(g)
+                assert line == reference_encode_graph6(g)
+                assert decode_graph6(line) == g
+                d = random_digraph(order, rng, p)
+                line = encode_digraph6(d)
+                assert line == reference_encode_digraph6(d)
+                assert decode_digraph6(line) == d
+
+    def test_decoding_matches_on_random_lines(self):
+        # lines near a valid encoding: an order byte or a three- or
+        # six-byte order, a body of about the right length over the data
+        # alphabet, sometimes with its padding cleared, a wrong byte, a
+        # header or no '&'
+        rng = random.Random(64)
+        alphabet = [chr(c) for c in range(63, 127)]
+        accepted = 0
+        for _ in range(100_000):
+            n = rng.randrange(13) if rng.random() < 0.98 else rng.randrange(60, 68)
+            directed = rng.random() < 0.5
+            nbits = n * n if directed else n * (n - 1) // 2
+            order = rng.choice(
+                [chr(n + 63)] * 6
+                + ["~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0)),
+                   "~~" + "".join(rng.choices(alphabet, k=6)), "~", "~~?"]
+            )
+            body = rng.choices(alphabet, k=max(0, (nbits + 5) // 6 + rng.choice([0] * 6 + [-1, 1])))
+            if body and rng.random() < 0.5:
+                pad = -nbits % 6
+                body[-1] = chr(((ord(body[-1]) - 63) >> pad << pad) + 63)
+            if body and rng.random() < 0.05:
+                body[rng.randrange(len(body))] = rng.choice("&> !\x7fé")
+            line = ("&" if directed != (rng.random() < 0.03) else "") + order + "".join(body)
+            if rng.random() < 0.05:
+                line = rng.choice([">>graph6<<", ">>digraph6<<", " "]) + line + "\n"
+            for ours, theirs in (
+                (decode_graph6, reference_decode_graph6),
+                (decode_digraph6, reference_decode_digraph6),
+            ):
+                got, want = outcome(ours, line), outcome(theirs, line)
+                assert got == want, line
+                accepted += got is not MalformedInput
+        # the lines exercise both the accepting and the refusing paths
+        assert 20_000 < accepted < 80_000
+

@@ -218,6 +218,12 @@ class TestHenson:
         assert not has_clique(out, 3)
         assert extension_property_holds(out, 3, range(2), pair_cap=2)
 
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_extension_base_vertex_outside_the_graph_rejected(self, bad):
+        # 5 used to be judged as if it were there, and -1 to fail on a shift
+        with pytest.raises(ValueError, match=rf"vertex {bad} outside 0\.\.2"):
+            extension_property_holds(UGraph.empty(3), 3, [bad])
+
     def test_output_k3_free_various_seeds(self):
         for seed in (None, 0, 1, 17):
             out = henson_approx(3, 2, UGraph.empty(2), seed)
@@ -390,6 +396,13 @@ class TestPartitionedGraph:
         with pytest.raises(ValueError) as exc:
             PartitionedGraph.from_classes_json(graph, f'{{"classes": {classes}}}')
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("vertex", ["true", "1.0", '"1"'])
+    def test_class_vertex_must_be_a_json_integer(self, vertex):
+        # true used to be read as vertex 1
+        graph = half_graph(2).graph
+        with pytest.raises(ValueError, match="class vertices must be integers"):
+            PartitionedGraph.from_classes_json(graph, f'{{"classes": [[0, {vertex}], [2, 3]]}}')
 
     def test_classes_json_round_trip(self):
         pg = half_graph(3)

@@ -183,6 +183,14 @@ class TestRichPairSurrogate:
         with pytest.raises(ValueError):
             rich_pair_surrogate(pg.graph, pg.classes[0], pg.classes[1], 3)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        # k = -1 used to return half-graph witnesses cut by a_sequence[:-1],
+        # and k = 0 an empty empty_pair
+        pg = complete_bipartite(3)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rich_pair_surrogate(pg.graph, pg.classes[0], pg.classes[1], k)
+
     @pytest.mark.parametrize("a, b, bad", [([0, 1, 9], [3, 4, 5], 9), ([-1, 0, 1], [3, 4, 5], -1)])
     def test_side_vertex_outside_the_graph_rejected(self, a, b, bad):
         g = half_graph(3).graph
@@ -191,6 +199,24 @@ class TestRichPairSurrogate:
 
 
 class TestBalancedInducedEmbed:
+    def test_pattern_from_json_dict(self):
+        data = {"left": 2, "right": 1, "edges": [[1, 0]]}
+        assert BipartitePattern.from_json_dict(data) == BipartitePattern(2, 1, frozenset({(1, 0)}))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"left": 1.7, "right": 1, "edges": [[0, 0]]},
+            {"left": 1, "right": 1, "edges": [[0.9, 0]]},
+            {"left": 1, "right": True, "edges": [[0, 0]]},
+            {"left": 1, "right": 1, "edges": [[0, "0"]]},
+        ],
+    )
+    def test_pattern_numbers_must_be_json_integers(self, data):
+        # int() used to truncate 1.7 and 0.9, and read true as 1
+        with pytest.raises(ValueError, match="pattern sizes and edge ends must be integers"):
+            BipartitePattern.from_json_dict(data)
+
     def test_single_edge_into_half_graph(self):
         out = balanced_induced_embed(half_graph(3), SINGLE_EDGE)
         assert out.report is not None
