@@ -18,13 +18,14 @@ same way.  Each is one reversed `format(row, "0{w}b")`, and decoding
 reads it back with one `int(chunk[::-1], 2)`.
 
 Decoding accepts the optional ">>graph6<<" / ">>digraph6<<" headers and is
-strict about length and padding.
+strict about length and padding; a digraph6 order above 128, more than a
+BitDigraph holds, is malformed input too.
 """
 
 from __future__ import annotations
 
 from .errors import MalformedInput
-from .graphs import BitDigraph, UGraph, bits
+from .graphs import DIGRAPH_MAX_ORDER, BitDigraph, UGraph, bits
 
 _GRAPH6_HEADER = ">>graph6<<"
 _DIGRAPH6_HEADER = ">>digraph6<<"
@@ -116,6 +117,8 @@ def decode_digraph6(line: str) -> BitDigraph:
     if not data.startswith("&"):
         raise MalformedInput("digraph6 line must start with '&'")
     n, rest = _decode_order(data[1:])
+    if n > DIGRAPH_MAX_ORDER:
+        raise MalformedInput(f"digraph6 order {n} exceeds {DIGRAPH_MAX_ORDER}")
     body = _unpack(rest, n * n)
     out = [int(body[i * n : (i + 1) * n][::-1], 2) for i in range(n)]
     for i, row in enumerate(out):

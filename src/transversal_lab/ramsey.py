@@ -40,8 +40,11 @@ unless it is a 3-cycle, so one move loop prices a move from bit counts
 of the endpoints' out, in and non-adjacency rows: the common neighbours
 less the pair's 3-cycles, plus one independent-set count when the pair
 gains or loses adjacency.  The rows are local lists updated in place by
-XOR.  Probe output is re-verified by the generic predicates before use,
-so probe results carry the same trust as enumerated ones.
+XOR.  Moves are drawn by rejection on getrandbits, the draws randrange
+and choice make, and counted in a local int that reaches the budget once
+per seed, or where a per-move count would stop or read the clock.  Probe
+output is re-verified by the generic predicates before use, so probe
+results carry the same trust as enumerated ones.
 """
 
 from __future__ import annotations
@@ -564,6 +567,16 @@ def _annealing_energy(d: BitDigraph, m: int) -> int:
 _OTHER_STATES = ((1, 2), (0, 2), (0, 1))
 
 
+def _moves_to_check(budget: Budget) -> float:
+    """Moves a walk counting in a local int may make before it must hand
+    its count to budget.spend(): up to the move that passes the node limit
+    (the next move, once a limit is hit) or that brings the shared count to
+    a multiple of 256, where spend() reads the clock."""
+    room = 0 if budget.hit else budget.limit - budget.nodes
+    clock = 256 - budget.nodes % 256 if budget.deadline is not None else math.inf
+    return min(room + 1, clock)
+
+
 def probe_local_search(
     m: int,
     order: int,
@@ -579,7 +592,7 @@ def probe_local_search(
     {none, forward, backward}, which is the annealing state space.  The
     energy is the violation count; a zero-energy state is a counterexample
     and is still re-verified by the caller.  Deterministic for a fixed
-    seed schedule.
+    seed schedule.  ValueError if order, seeds or iters is negative.
 
     A move sets one pair {i, j} to another state and changes only the
     triples through that pair and the independent m-sets holding both
@@ -596,14 +609,38 @@ def probe_local_search(
     holds neither endpoint since na[i] lacks i and na[j] lacks j.  The
     incremental energy is checked against a full recount every 8,192
     moves.
+
+    Draws.  A move takes the pair index k = getrandbits(w), w the bit
+    length of the pair count, again until k is below the pair count, then
+    the new state _OTHER_STATES[old][b] with b = getrandbits(2), again
+    until b < 2.  That is the rejection loop Random.randrange(n) and
+    Random.choice run in CPython (_randbelow_with_getrandbits), so the
+    random stream, every accept decision and the digraph returned are
+    those of randrange and choice, without their argument checks and
+    Python frames.  Orders 0 and 1 have no pair and energy 0, so they
+    return before a draw (getrandbits(0) would never fall below 0 pairs).
+
+    Budget.  Moves are counted in a local int and handed to budget.spend()
+    once per seed, or at the move where spend() would stop the walk or
+    read the clock, whichever comes first (_moves_to_check).  So the walk
+    stops at the move where spending one node per move would: the node
+    stop leaves nodes == limit + 1; with a deadline the clock is read when
+    the shared count reaches a multiple of 256; a budget already stopped
+    on entry ends the walk after one move.
     """
+    for name, value in (("order", order), ("seeds", seeds), ("iters", iters)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if m < 2:
         return None
     pairs = [(i, j, 1 << i, 1 << j) for i in range(order) for j in range(i + 1, order)]
     n_pairs = len(pairs)
+    width = n_pairs.bit_length()
     full = (1 << order) - 1
+    exp = math.exp
     for seed in range(seeds):
         rng = random.Random(1_000_003 * m + 1009 * order + seed)
+        getrandbits, uniform = rng.getrandbits, rng.random
         states = [rng.randint(0, 2) for _ in range(n_pairs)]
         out = [0] * order
         inn = [0] * order
@@ -619,33 +656,47 @@ def probe_local_search(
                 na[i] ^= bj
                 na[j] ^= bi
         energy = _annealing_energy(BitDigraph(order, out), m)
+        # moves of this seed already spent, and the move that spends next
+        spent = 0
+        check = iters if budget is None else min(iters, _moves_to_check(budget) - 1)
+        moves = iters
         for it in range(iters):
             if energy == 0:
+                moves = it
                 break
-            if budget is not None and not budget.spend():
-                return None
-            k = rng.randrange(n_pairs)
+            if it == check:
+                if not budget.spend(it + 1 - spent):
+                    return None
+                spent = it + 1
+                check = min(iters, it + _moves_to_check(budget))
+            k = getrandbits(width)
+            while k >= n_pairs:
+                k = getrandbits(width)
             old = states[k]
-            new = rng.choice(_OTHER_STATES[old])
+            b = getrandbits(2)
+            while b >= 2:
+                b = getrandbits(2)
+            new = _OTHER_STATES[old][b]
             i, j, bi, bj = pairs[k]
+            out_i, inn_i, out_j, inn_j = out[i], inn[i], out[j], inn[j]
             if old and new:
                 # the arc reverses: only the 3-cycles through the pair change
-                cycles_ij = (out[j] & inn[i]).bit_count()
-                cycles_ji = (out[i] & inn[j]).bit_count()
+                cycles_ij = (out_j & inn_i).bit_count()
+                cycles_ji = (out_i & inn_j).bit_count()
                 delta = cycles_ij - cycles_ji if new == 2 else cycles_ji - cycles_ij
             else:
-                triples = ((out[i] | inn[i]) & (out[j] | inn[j])).bit_count() - (
-                    out[j] & inn[i] if old == 1 or new == 1 else out[i] & inn[j]
+                triples = ((out_i | inn_i) & (out_j | inn_j)).bit_count() - (
+                    out_j & inn_i if old == 1 or new == 1 else out_i & inn_j
                 ).bit_count()
                 through = count_cliques_in(na, na[i] & na[j], m - 2)
                 delta = triples - through if new else through - triples
-            if delta <= 0 or rng.random() < math.exp(-delta / (3.0 * (1 - it / iters) + 0.05)):
+            if delta <= 0 or uniform() < exp(-delta / (3.0 * (1 - it / iters) + 0.05)):
                 if old == 1 or new == 1:
-                    out[i] ^= bj
-                    inn[j] ^= bi
+                    out[i] = out_i ^ bj
+                    inn[j] = inn_j ^ bi
                 if old == 2 or new == 2:
-                    out[j] ^= bi
-                    inn[i] ^= bj
+                    out[j] = out_j ^ bi
+                    inn[i] = inn_i ^ bj
                 if not (old and new):
                     na[i] ^= bj
                     na[j] ^= bi
@@ -659,6 +710,8 @@ def probe_local_search(
                         f"annealer energy drifted at move {it}: "
                         f"incremental {energy}, recomputed {recount}"
                     )
+        if budget is not None and moves > spent:
+            budget.spend(moves - spent)
         if energy == 0:
             digraph = BitDigraph(order, out)
             if not has_transitive_set(digraph, 3) and not digraph_independent(digraph, m):

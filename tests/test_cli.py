@@ -345,6 +345,15 @@ PINNED_REPORTS = {
                     "certificate_order": 3, "exact": True, "level_counts": [1, 2, 1, 0],
                     "lower": 4, "proof_method": "exhaustive", "upper": 4, "value": 4}},
     ),
+    "dr compute --budget-secs 0": (
+        ["dr", "compute", "--n", "3", "--m", "4", "--budget-secs", "0"],
+        {"command": "dr compute", "nodes": 2,
+         "params": {"budget_nodes": 5000000, "budget_secs": 0.0, "m": 4, "max_order": None,
+                    "n": 3, "probe": True},
+         "result": {"budget_hit": True, "budget_reason": "time", "certificate": "&B?_",
+                    "certificate_order": 3, "exact": False, "level_counts": [1], "lower": 4,
+                    "proof_method": "recurrence", "upper": 16, "value": None}},
+    ),
     "ortho check": (
         ["ortho", "check", "--family", "fam.json", "--dim", "2", "--m", "2"],
         {"command": "ortho check", "params": {"dim": 2, "family": "fam.json", "m": 2},

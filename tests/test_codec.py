@@ -125,6 +125,14 @@ class TestDigraph6:
         with pytest.raises(MalformedInput):
             decode_digraph6("&B_?")
 
+    def test_order_above_128_is_malformed(self):
+        # a well-formed line of order 129 (N(129) = "~?A@", zero body) names
+        # its order; order 128 still decodes
+        body = "?" * ((129 * 129 + 5) // 6)
+        with pytest.raises(MalformedInput, match="order 129"):
+            decode_digraph6("&~?A@" + body)
+        assert decode_digraph6(encode_digraph6(BitDigraph(128, [0] * 128))).order == 128
+
     def test_thousand_random_round_trips(self):
         rng = random.Random(2024)
         for _ in range(1000):

@@ -16,6 +16,7 @@ from transversal_lab.graphs import (
 )
 from transversal_lab.ramsey import (
         RamseyTable,
+    _OTHER_STATES,
     _circulant_is_good,
     _extend,
     _good_extensions,
@@ -24,6 +25,7 @@ from transversal_lab.ramsey import (
     dr_bounds,
     enumerate_good_classes,
     probe_circulants,
+    probe_local_search,
     search_dr,
     two_colour_ramsey_holds,
     verify_ramsey_33,
@@ -472,6 +474,91 @@ class TestAnnealer:
             found += got is not None
             budget_ended += fast.reason == "nodes"
         assert (found, budget_ended) == (46, 45)
+
+    # (node_budget, time_budget, nodes spent before the walk, out_of_time()
+    # called before the walk): a budget part used by an earlier phase, one
+    # already stopped on entry by nodes or by time, and a zero time budget,
+    # whose clock reads at multiples of 256 all fail
+    USED_BUDGETS = [
+        *((None, None, pre, False) for pre in (37, 255, 300)),
+        *((4000, None, pre, False) for pre in (37, 255, 300)),
+        (300, None, 300, False),
+        (1, None, 37, False),
+        *((None, 0, pre, False) for pre in (0, 37, 255, 300)),
+        (None, 0, 0, True),
+        (4000, 0, 37, True),
+    ]
+
+    @pytest.mark.parametrize("node_budget, time_budget, pre, stopped", USED_BUDGETS)
+    def test_probe_matches_reference_walk_on_used_budgets(
+        self, node_budget, time_budget, pre, stopped
+    ):
+        # the local move count stops where one spend() per move would: same
+        # digraph, same nodes, same reason, whatever the budget held before
+        def used_budget():
+            budget = Budget(node_budget, time_budget)
+            if pre:  # spend(0) would read the clock at 0 nodes
+                budget.spend(pre)
+            if stopped:
+                assert budget.out_of_time()
+            return budget
+
+        reasons = set()
+        for m, order, iters in product((2, 3, 4), (3, 5, 8, 14), (200, 9000)):
+            case = (m, order, iters)
+            fast, ref = used_budget(), used_budget()
+            got = probe_local_search(m, order, seeds=2, iters=iters, budget=fast)
+            want = reference_local_search(m, order, seeds=2, iters=iters, budget=ref)
+            assert (got is None) == (want is None), case
+            assert got is None or got.out == want.out, case
+            assert (fast.nodes, fast.reason) == (ref.nodes, ref.reason), case
+            reasons.add(fast.reason)
+        # positive control: each limit the budget has stops some walk
+        limits = {"nodes": node_budget, "time": time_budget}
+        expected = {reason for reason, limit in limits.items() if limit is not None} or {None}
+        assert reasons - {None} <= expected and reasons & expected
+
+    def test_draws_equal_randrange_and_choice(self):
+        # the move loop's rejection on getrandbits(n.bit_length()) is the
+        # draw randrange(n), choice and randint make, for every pair count up
+        # to order 41; on a CPython whose Random draws otherwise, this fails
+        def below(rng, n):
+            k = rng.getrandbits(n.bit_length())
+            while k >= n:
+                k = rng.getrandbits(n.bit_length())
+            return k
+
+        for n in range(1, 821):
+            ours, theirs = random.Random(n), random.Random(n)
+            assert [below(ours, n) for _ in range(20)] == [theirs.randrange(n) for _ in range(20)]
+            assert ours.getstate() == theirs.getstate(), n
+        for seed in range(50):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for old in (0, 1, 2):
+                assert _OTHER_STATES[old][below(ours, 2)] == theirs.choice(_OTHER_STATES[old])
+                assert below(ours, 3) == theirs.randint(0, 2)
+            assert ours.getstate() == theirs.getstate(), seed
+
+    @pytest.mark.parametrize(
+        "order, kwargs, name",
+        [(-1, {}, "order"), (4, {"seeds": -1}, "seeds"), (4, {"iters": -5}, "iters")],
+    )
+    def test_negative_arguments_rejected(self, order, kwargs, name):
+        budget = Budget()
+        with pytest.raises(ValueError, match=name):
+            probe_local_search(4, order, budget=budget, **kwargs)
+        assert budget.nodes == 0
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_orders_without_pairs_return_before_a_move(self, order):
+        # no pair to draw (getrandbits(0) never falls below 0 pairs), and
+        # energy 0 ends the walk before its first move, even on a budget
+        # already stopped
+        for budget in (Budget(), Budget(0)):
+            budget.spend()
+            got = probe_local_search(3, order, budget=budget)
+            assert got is not None and got.order == order
+            assert budget.nodes == 1
 
     def test_drift_guard_raises(self, monkeypatch):
         # a full recount that disagrees with the incremental energy must
