@@ -18,8 +18,9 @@ same way.  Each is one reversed `format(row, "0{w}b")`, and decoding
 reads it back with one `int(chunk[::-1], 2)`.
 
 Decoding accepts the optional ">>graph6<<" / ">>digraph6<<" headers and is
-strict about length and padding; a digraph6 order above 128, more than a
-BitDigraph holds, is malformed input too.
+strict about length and padding.  An order written in a wider form than
+it needs, such as "~??B" for 3, is malformed input, so each order has one
+spelling; so is a digraph6 order above 128, more than a BitDigraph holds.
 """
 
 from __future__ import annotations
@@ -58,13 +59,16 @@ def _from_bytes(data: str) -> int:
 
 def _decode_order(data: str) -> tuple[int, str]:
     """N(n) off the front of data: one byte, '~' and 3 bytes, or '~~' and
-    6 bytes.  Returns n and the rest."""
+    6 bytes, the shortest form that holds n.  Returns n and the rest."""
     if not data:
         raise MalformedInput("empty input")
     start, width = (0, 1) if data[0] != "~" else (1, 3) if data[1:2] != "~" else (2, 6)
     if len(data) < start + width:
         raise MalformedInput(f"truncated {width}-byte order")
-    return _from_bytes(data[start : start + width]), data[start + width :]
+    n = _from_bytes(data[start : start + width])
+    if n < (0, 63, 258048)[start]:  # the least order of each form
+        raise MalformedInput(f"order {n} written in the {width}-byte form")
+    return n, data[start + width :]
 
 
 def _pack(body: str) -> str:

@@ -49,9 +49,17 @@ class Budget:
     by out_of_time().  `reason` names the limit hit first, "nodes" or
     "time", and stays set; None while neither is.
 
-    A hot loop may count in a local int against `limit` and hand its total
-    to one spend() when it stops.  A search unwinds on a stop by raising
-    errors.BudgetExceeded.
+    A hot loop may count in a local int and hand its total to one spend()
+    when it stops, if it stops where a spend() per node would:
+    - on a budget that has already stopped, at once: the next node ends
+      the loop;
+    - otherwise on the node that passes `limit - nodes`, the room left
+      when the loop began, not `limit`;
+    - with a deadline, at latest when the shared count `nodes` reaches a
+      multiple of 256, handing its count to spend() there so the clock
+      is read.
+    ramsey._moves_to_check computes that distance.  A search unwinds on a
+    stop by raising errors.BudgetExceeded.
     """
 
     __slots__ = ("limit", "deadline", "nodes", "reason")
@@ -335,6 +343,37 @@ def find_clique_in(
             if found is not None:
                 return (v,) + found
     return None
+
+
+def clique_closure_in(nbr: Sequence[int], base: int, reach: int, k: int) -> int:
+    """The vertices of the mask `reach` joined in `nbr` to every member of
+    some k-subset of the mask `base` whose members are pairwise joined.
+
+    With symmetric rows, as a graph's are, w is in the result exactly when
+    find_clique_in(nbr, base & nbr[w], k) finds a clique; here the
+    k-cliques of `base` are walked once, not once per w.  Depth-first over
+    `base` in ascending order, lowest vertex first, each branch keeping
+    only the part of `reach` joined to the members so far and not yet in
+    the result; a branch stops as soon as that part is empty, and a
+    complete clique adds all of it.  k = 0 gives `reach`; k = 1 gives the
+    part of `reach` in the union of the rows of `base`.
+    """
+    if k <= 0:
+        return reach
+    closed = 0
+    while base and reach:
+        low = base & -base
+        base ^= low
+        row = nbr[low.bit_length() - 1]
+        if k == 1:
+            hit = reach & row
+        else:
+            if base.bit_count() + 1 < k:
+                break
+            hit = clique_closure_in(nbr, base & row, reach & row, k - 1) if reach & row else 0
+        closed |= hit
+        reach ^= hit
+    return closed
 
 
 def count_cliques_in(nbr: Sequence[int], cand: int, k: int) -> int:

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded
-from .graphs import Budget, UGraph, bits, find_clique_in, has_independent_set
+from .graphs import Budget, UGraph, bits, clique_closure_in, has_independent_set
 
 RatVec = tuple[int, ...]
 
@@ -134,12 +134,13 @@ def alpha_lower_search(
 
     - Blocked mask.  Later index w is blocked when chosen & nonortho[w]
       holds an m-clique, i.e. taking w would close an (m+1)-clique.
-      Lemma: let w be unblocked before v is added.  Then w becomes blocked
-      exactly when w is in nonortho[v] and chosen & nonortho[v] &
-      nonortho[w] holds an (m-1)-clique, because any new clique must use
-      v.  For m = 1 this blocks all of nonortho[v].  So a take runs one
-      (m-1)-clique test per unblocked later neighbour, and every other
-      node only tests a bit.
+      Lemma: let w be unblocked before v is taken, and base = chosen &
+      nonortho[v].  Any m-clique of (chosen | v) & nonortho[w] must
+      contain v, so w becomes blocked exactly when w is in nonortho[v]
+      and joined to every member of some (m-1)-clique of base.  For m = 1
+      this blocks all of nonortho[v].  So a take makes one walk over the
+      (m-1)-cliques of base, clique_closure_in on the unblocked later
+      neighbours of v, and every other node only tests a bit.
     - Counted exclusion runs.  Leaving a vector out keeps count, so no
       node on the exclude chain can update the incumbent, and the chain
       only stops at the bound's cut size - best + count or branches at
@@ -179,17 +180,10 @@ def alpha_lower_search(
         while idx < size - best_size + count:
             bit = 1 << idx
             if free & bit:
-                blocked = 0
-                base = chosen & nonortho[idx]
-                if base.bit_count() >= m - 1:
-                    cand = later[idx] & free
-                    while cand:
-                        low = cand & -cand
-                        cand ^= low
-                        w = low.bit_length() - 1
-                        if find_clique_in(nonortho, base & nonortho[w], m - 1) is not None:
-                            blocked |= low
-                walk(idx + 1, chosen | bit, count + 1, free & ~blocked)
+                blocked = clique_closure_in(
+                    nonortho, chosen & nonortho[idx], later[idx] & free, m - 1
+                )
+                walk(idx + 1, chosen | bit, count + 1, free ^ blocked)
             # nodes idx + 1 .. stop of the exclude chain, in one step
             rest = free >> (idx + 1)
             stop = idx + (rest & -rest).bit_length() if rest else size

@@ -1111,6 +1111,8 @@ def _reference_decode_order(data: str) -> tuple[int, str]:
             if not 0 <= v <= 63:
                 raise MalformedInput(f"bad order byte {ch!r}")
             n = (n << 6) | v
+        if n <= 62:
+            raise MalformedInput(f"order {n} written in the 3-byte form")
         return n, data[4:]
     if len(data) < 8:
         raise MalformedInput("truncated 6-byte order")
@@ -1120,6 +1122,8 @@ def _reference_decode_order(data: str) -> tuple[int, str]:
         if not 0 <= v <= 63:
             raise MalformedInput(f"bad order byte {ch!r}")
         n = (n << 6) | v
+    if n <= 258047:
+        raise MalformedInput(f"order {n} written in the 6-byte form")
     return n, data[8:]
 
 
@@ -1206,6 +1210,8 @@ def reference_decode_digraph6(line: str) -> BitDigraph:
     if not data.startswith("&"):
         raise MalformedInput("digraph6 line must start with '&'")
     n, rest = _reference_decode_order(data[1:])
+    if n > 128:
+        raise MalformedInput(f"digraph6 order {n} exceeds 128")
     bits_seq = _reference_unpack_bits(rest, n * n)
     out = [0] * n
     for i in range(n):

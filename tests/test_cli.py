@@ -383,6 +383,17 @@ PINNED_REPORTS = {
          "result": {"alpha_lower": 4, "budget_reason": None, "exact_over_pool": True,
                     "family": [[0, 1], [1, -1], [1, 0], [1, 1]], "pool_size": 4}},
     ),
+    # the budget-stopped dimension-3 (3,3) walk of the witness benchmark,
+    # cut at 50,000 nodes
+    "ortho search --budget-nodes": (
+        ["ortho", "search", "--dim", "3", "--m", "3", "--budget-nodes", "50000"],
+        {"command": "ortho search", "nodes": 50001,
+         "params": {"budget_nodes": 50000, "dim": 3, "m": 3, "pool": None, "pool_height": 2},
+         "result": {"alpha_lower": 9, "budget_reason": "nodes", "exact_over_pool": False,
+                    "family": [[0, 0, 1], [0, 1, -2], [0, 1, -1], [0, 2, 1], [1, -2, 0],
+                               [1, -1, -1], [1, 0, 0], [2, 1, 0], [2, 1, 1]],
+                    "pool_size": 49}},
+    ),
     "transversal solve": (
         ["transversal", "solve", "--graph", "h.g6", "--classes", "h.json", "--m", "2", "--ell", "1"],
         {"command": "transversal solve", "nodes": 2,

@@ -7,6 +7,7 @@ import pytest
 from transversal_lab.graphs import (
     BitDigraph,
     UGraph,
+    clique_closure_in,
     count_cliques_in,
     digraph_independent,
     find_clique,
@@ -207,6 +208,45 @@ class TestCliqueKernels:
                         indeps[0] if indeps else None
                     )
                     assert count_cliques_in(g.adj, cand, k) == len(cliques)
+
+    def test_clique_closure_matches_per_candidate_tests(self):
+        # w is closed when base & nbr[w] holds a k-clique; base and reach
+        # are random masks (they may overlap), empty or the whole graph
+        rng = random.Random(13)
+        for _ in range(300):
+            order = rng.randint(1, 16)
+            p = rng.choice((0.2, 0.5, 0.8, 1.0))
+            g = UGraph.from_edges(
+                order,
+                [(u, v) for u, v in combinations(range(order), 2) if rng.random() < p],
+            )
+            full = (1 << order) - 1
+            for base in (0, full, rng.getrandbits(order)):
+                for reach in (0, full, rng.getrandbits(order)):
+                    for k in range(5):
+                        want = 0
+                        for w in range(order):
+                            if (reach >> w) & 1 and find_clique_in(g.adj, base & g.adj[w], k) is not None:
+                                want |= 1 << w
+                        assert clique_closure_in(g.adj, base, reach, k) == want, (
+                            g.adj, base, reach, k,
+                        )
+
+    def test_clique_closure_stops_once_reach_is_closed(self):
+        # in a complete graph the first k-clique of base closes all of
+        # reach, so the walk reads one row per member of that clique
+        class CountingRows(list):
+            reads = 0
+
+            def __getitem__(self, v):
+                CountingRows.reads += 1
+                return super().__getitem__(v)
+
+        rows = CountingRows(UGraph.complete(16).adj)
+        for k in range(1, 5):
+            CountingRows.reads = 0
+            assert clique_closure_in(rows, 0xFF, 0xFF00, k) == 0xFF00
+            assert CountingRows.reads == k
 
     def test_find_transitive_in_matches_brute_force(self):
         # itertools.permutations yields the k-tuples of the sorted members

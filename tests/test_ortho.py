@@ -182,6 +182,31 @@ class TestAlphaLowerSearch:
                 stopped += not got.exact
         assert stopped == 1073
 
+    def test_matches_reference_recursion_at_m5_and_m6(self):
+        # dimension-4 sub-pools hold non-orthogonal cliques of 5 and more,
+        # so the blocked mask walks 4- and 5-cliques; budgets stop some
+        # walks, and where an exact family is smaller than its pool the
+        # blocked mask has ruled a vector out
+        rng = random.Random(10)
+        base = directions_of_height(4, 1)
+        stopped = binding = 0
+        for case in range(80):
+            picked = rng.sample(base.vectors, rng.randint(0, 22))
+            if case % 2:
+                picked.sort()
+            pool = VectorFamily(4, tuple(picked))
+            m = 5 + case % 2
+            walk = reference_alpha_lower_search(4, m, pool).nodes
+            for budget in (None, 1, rng.randint(0, walk)):
+                got = alpha_lower_search(4, m, pool, node_budget=budget)
+                want = reference_alpha_lower_search(4, m, pool, node_budget=budget)
+                assert (got.family, got.exact, got.nodes) == (want.family, want.exact, want.nodes), (
+                    case, m, budget,
+                )
+                stopped += not got.exact
+                binding += got.exact and len(got.family) < len(pool)
+        assert (stopped, binding) == (151, 43)
+
     def test_benchmark_results_pinned(self):
         # positive controls: the exact (3,2) value and the budgeted (3,3) walk
         pool = directions_of_height(3, 2)
