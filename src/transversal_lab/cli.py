@@ -1,6 +1,11 @@
 """Command-line surface: dr search, generators, transversal and embedding
 solvers, orthogonality searches.
 
+This module is the one place that reads input files: graph6 and digraph6
+through `codec`, and the three JSON formats (classes, pattern, vector
+family) through the readers below, which refuse any number they read
+that is not a JSON integer.
+
 Every command except `gen` prints one RunReport JSON object to stdout:
 each report command returns (result, nodes), and `main` builds, times and
 prints the report.  Its command and params come off the parser: the
@@ -81,9 +86,37 @@ def _load_graph(path: str) -> UGraph:
     return _load(path, lambda text: decode_graph6(_first_line(text)))
 
 
+def _ints(values, what: str) -> tuple[int, ...]:
+    """The JSON numbers `values` as a tuple, each of which must be a JSON
+    integer: true, 1.7 and "1" are refused, not read as 1."""
+    values = tuple(values)
+    if any(type(v) is not int for v in values):
+        raise ValueError(f"{what} must be integers")
+    return values
+
+
+def _read_classes(graph: UGraph, text: str) -> PartitionedGraph:
+    """The partition {"classes": [[v, ...], ...]} of graph."""
+    classes = json.loads(text)["classes"]
+    return PartitionedGraph(graph, tuple(frozenset(_ints(c, "class vertices")) for c in classes))
+
+
+def _read_pattern(text: str) -> BipartitePattern:
+    """The pattern {"left": L, "right": R, "edges": [[i, j], ...]}."""
+    data = json.loads(text)
+    what = "pattern sizes and edge ends"
+    left, right = _ints((data["left"], data["right"]), what)
+    return BipartitePattern(left, right, frozenset(_ints(e, what) for e in data["edges"]))
+
+
+def _read_family(dim: int, text: str) -> VectorFamily:
+    """The vector family [[x, ...], ...] in dimension dim."""
+    return VectorFamily.from_raw(dim, [_ints(v, "vector coordinates") for v in json.loads(text)])
+
+
 def _load_partitioned(graph_path: str, classes_path: str) -> PartitionedGraph:
     g = _load_graph(graph_path)
-    return _load(classes_path, lambda text: PartitionedGraph.from_classes_json(g, text))
+    return _load(classes_path, lambda text: _read_classes(g, text))
 
 
 def _load_two_classes(args) -> PartitionedGraph:
@@ -96,7 +129,7 @@ def _load_two_classes(args) -> PartitionedGraph:
 
 
 def _load_family(path: str, dim: int) -> VectorFamily:
-    return _load(path, lambda text: VectorFamily.from_raw(dim, json.loads(text)))
+    return _load(path, lambda text: _read_family(dim, text))
 
 
 def _write_or_print(lines: list[str], out: Optional[str], suffixes: list[str]) -> None:
@@ -181,9 +214,8 @@ def _cmd_gen(args) -> None:
         pg = rado_partition_witness(args.depth)
     else:
         raise AssertionError(kind)
-    _write_or_print(
-        [encode_graph6(pg.graph), pg.classes_json()], args.out, [".g6", ".classes.json"]
-    )
+    classes_line = json.dumps({"classes": [sorted(c) for c in pg.classes]})
+    _write_or_print([encode_graph6(pg.graph), classes_line], args.out, [".g6", ".classes.json"])
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +247,7 @@ def _cmd_embed_halforder(args) -> Report:
         exact_cap=args.exact_cap,
         node_budget=args.budget_nodes,
     )
-    if res.order > 0 and not res.verify(pg.graph):
+    if res.order > 0 and not res.verify(pg.graph, pg.classes[0], pg.classes[1]):
         raise VerificationError("half-graph witness failed re-verification")
     return {
         "order": res.order,
@@ -228,7 +260,7 @@ def _cmd_embed_halforder(args) -> Report:
 
 def _cmd_embed_balanced(args) -> Report:
     pg = _load_two_classes(args)
-    pattern = _load(args.pattern, lambda text: BipartitePattern.from_json_dict(json.loads(text)))
+    pattern = _load(args.pattern, _read_pattern)
     out = balanced_induced_embed(pg, pattern, node_budget=args.budget_nodes)
     if out.report is not None and not out.report.verify(pg, pattern):
         raise VerificationError("embedding failed re-verification")

@@ -9,7 +9,6 @@ segments; the truncation depth is always an explicit caller parameter.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,18 +53,6 @@ class PartitionedGraph:
 
     def class_masks(self) -> tuple[int, ...]:
         return tuple(mask_of(c) for c in self.classes)
-
-    def classes_json(self) -> str:
-        return json.dumps({"classes": [sorted(c) for c in self.classes]})
-
-    @classmethod
-    def from_classes_json(cls, graph: UGraph, text: str) -> "PartitionedGraph":
-        """The partition {"classes": [[v, ...], ...]} of graph, whose vertices
-        must be JSON integers: true is refused, not read as vertex 1."""
-        classes = json.loads(text)["classes"]
-        if any(type(v) is not int for c in classes for v in c):
-            raise ValueError("class vertices must be integers")
-        return cls(graph, tuple(frozenset(c) for c in classes))
 
 
 def spread(mask: int, width: int) -> int:

@@ -29,16 +29,6 @@ class BipartitePattern:
             if not (0 <= a < self.left_size and 0 <= b < self.right_size):
                 raise ValueError(f"edge ({a},{b}) outside declared sides")
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BipartitePattern":
-        """The pattern {"left": L, "right": R, "edges": [[i, j], ...]}, whose
-        numbers must all be JSON integers: 1.7 or true is refused, not
-        truncated."""
-        left, right, edges = data["left"], data["right"], [(a, b) for a, b in data["edges"]]
-        if any(type(x) is not int for x in (left, right, *(x for edge in edges for x in edge))):
-            raise ValueError("pattern sizes and edge ends must be integers")
-        return cls(left, right, frozenset(edges))
-
 
 SINGLE_EDGE = BipartitePattern(1, 1, frozenset({(0, 0)}))
 
@@ -57,9 +47,13 @@ class HalfOrderResult:
     nodes: int = 0
     budget_reason: Optional[str] = None  # "nodes" when the node budget ended the search
 
-    def verify(self, g: UGraph) -> bool:
+    def verify(self, g: UGraph, a: Iterable[int], b: Iterable[int]) -> bool:
+        """True iff the 2k vertices are distinct, a_sequence lies in a and
+        b_sequence in b, and a_i b_j is an edge for all i < j."""
         k = self.order
         if len(self.a_sequence) != k or len(self.b_sequence) != k:
+            return False
+        if not (set(self.a_sequence) <= set(a) and set(self.b_sequence) <= set(b)):
             return False
         if len(set(self.a_sequence) | set(self.b_sequence)) != 2 * k:
             return False

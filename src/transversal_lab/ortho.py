@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded
@@ -23,33 +23,17 @@ RatVec = tuple[int, ...]
 
 
 def canonical_direction(coords: Sequence) -> RatVec:
-    """Scale a nonzero rational vector to coprime integers, first nonzero
-    coordinate positive.
-
-    Accepts ints, Fractions, floats that are exact ints, strings, or
-    (numerator, denominator) pairs.
-    """
-    fracs = []
-    for c in coords:
-        if isinstance(c, tuple):
-            fracs.append(Fraction(c[0], c[1]))
-        else:
-            fracs.append(Fraction(c))
-    if all(f == 0 for f in fracs):
+    """Scale a nonzero vector of ints and Fractions to coprime integers,
+    first nonzero coordinate positive."""
+    fracs = [Fraction(c) for c in coords]
+    if not any(fracs):
         raise ValueError("zero vector has no direction")
-    denom_lcm = 1
-    for f in fracs:
-        d = f.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    scale = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (scale // f.denominator) for f in fracs]
+    g = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 @dataclass(frozen=True)
@@ -68,7 +52,8 @@ class VectorFamily:
 
     @classmethod
     def from_raw(cls, dimension: int, raw: Iterable[Sequence]) -> "VectorFamily":
-        """Canonicalize, deduplicate (collapsing parallel vectors), sort."""
+        """The directions of vectors of ints and Fractions: canonicalize,
+        deduplicate (collapsing parallel vectors), sort."""
         vecs = sorted({canonical_direction(v) for v in raw})
         return cls(dimension, tuple(vecs))
 

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -136,38 +136,12 @@ def check_counterexample(d: BitDigraph, n: int, m: int) -> DrCertificate:
 
 
 # ---------------------------------------------------------------------------
-# classical Ramsey table
+# classical Ramsey numbers
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class RamseyTable:
-    """Known classical Ramsey numbers R(n_0, ..., n_{k-1}) as intervals.
-
-    Each entry maps a sorted tuple of clique sizes to (lo, hi, source)
-    where source is "verified" (confirmed by the local brute-force oracle)
-    or "literature" (cited, unverified here).
-    """
-
-    entries: dict[tuple[int, ...], tuple[int, int, str]] = field(default_factory=dict)
-
-    @classmethod
-    def default(cls) -> "RamseyTable":
-        return cls(
-            {
-                (3, 3): (6, 6, "literature"),
-                (3, 4): (9, 9, "literature"),
-                (3, 3, 3): (17, 17, "literature"),
-            }
-        )
-
-    def lookup(self, *sizes: int) -> Optional[tuple[int, int, str]]:
-        return self.entries.get(tuple(sorted(sizes)))
-
-    def mark_verified(self, *sizes: int) -> None:
-        key = tuple(sorted(sizes))
-        lo, hi, _ = self.entries[key]
-        self.entries[key] = (lo, hi, "verified")
+# R(3,3) = 6 and R(3,4) = R(4,3) = 9 (Greenwood and Gleason, 1955), the
+# lower sandwich R(n,m) <= dr(n,m) that dr_bounds applies
+_CLASSICAL_R = {(3, 3): 6, (3, 4): 9, (4, 3): 9}
 
 
 def two_colour_ramsey_holds(s: int, t: int, r: int) -> bool:
@@ -211,15 +185,12 @@ def dr_bounds(
 
     Combines the base cases dr(n,1) = dr(1,m) = 1, the recurrence
     dr(n,m) <= 2 dr(n-1,m) + dr(n,m-1) - 1, the lower sandwich
-    R(n,m) <= dr(n,m) from RamseyTable.default(), the m = 2 power bounds
+    R(n,m) <= dr(n,m) from _CLASSICAL_R, the m = 2 power bounds
     2^((n-1)/2) <= dr(n,2) <= 2^(n-1), monotonicity in both arguments,
-    and any exact values supplied in `known`.  The upper sandwich
-    dr(n,m) <= R(n,n,m) is left out: the table's one such entry,
-    R(3,3,3) = 17, is above the recurrence's 9 at (3,3).
+    and any exact values supplied in `known`.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    table = RamseyTable.default()
     known = known or {}
     # one pass over the grid 1 <= a <= n, 1 <= b <= m, where row a = 1 and
     # column b = 1 are (1, 1): row[b] holds (a - 1, b) until (a, b)
@@ -232,10 +203,7 @@ def dr_bounds(
                 continue
             (lo_left, hi_left), (lo_down, hi_down) = row[b], row[b - 1]
             hi = 2 * hi_left + hi_down - 1
-            lo = max(a, b, lo_left, lo_down)
-            entry = table.lookup(a, b)
-            if entry is not None:
-                lo = max(lo, entry[0])
+            lo = max(a, b, lo_left, lo_down, _CLASSICAL_R.get((a, b), 0))
             if b == 2:
                 # ceil(sqrt(2^(a-1))) in exact integer arithmetic
                 lo = max(lo, math.isqrt((1 << (a - 1)) - 1) + 1)

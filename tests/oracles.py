@@ -37,7 +37,6 @@ from transversal_lab.graphs import (
 from transversal_lab.ortho import AlphaSearchResult, VectorFamily, dot
 from transversal_lab.ramsey import (
     EnumerationOutcome,
-    RamseyTable,
     _annealing_energy,
     circulant_digraph,
 )
@@ -673,12 +672,13 @@ def reference_alpha_lower_search(n: int, m: int, pool, *, node_budget=None):
 
 def reference_dr_bounds(n: int, m: int, known=None) -> tuple[int, int]:
     """The interval arithmetic that `dr_bounds` replaced: it also capped
-    each upper bound with the table's R(a, a, b) entry and seeded the memo
+    each upper bound with a known R(a, a, b) and seeded the memo
     with a provisional interval before recursing.  `dr_bounds` must return
     the same interval."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    table = RamseyTable.default()
+    # classical Ramsey numbers by sorted clique sizes (Greenwood and Gleason, 1955)
+    classical = {(3, 3): 6, (3, 4): 9, (3, 3, 3): 17}
     known = known or {}
     memo: dict[tuple[int, int], tuple[int, int]] = {}
 
@@ -697,12 +697,8 @@ def reference_dr_bounds(n: int, m: int, known=None) -> tuple[int, int]:
         lo_down, hi_down = bound(a, b - 1)
         hi = 2 * hi_left + hi_down - 1
         lo = max(a, b, lo_left, lo_down)
-        entry = table.lookup(a, b)
-        if entry is not None:
-            lo = max(lo, entry[0])
-        entry = table.lookup(a, a, b)
-        if entry is not None:
-            hi = min(hi, entry[1])
+        lo = max(lo, classical.get(tuple(sorted((a, b))), 0))
+        hi = min(hi, classical.get(tuple(sorted((a, a, b))), hi))
         if b == 2:
             lo = max(lo, math.isqrt((1 << (a - 1)) - 1) + 1)
             hi = min(hi, 1 << (a - 1))

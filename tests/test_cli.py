@@ -22,6 +22,13 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def write_half(tmp_path, k):
+    """half_graph(k) as h.g6 and its classes as h.json in tmp_path."""
+    pg = half_graph(k)
+    (tmp_path / "h.g6").write_text(encode_graph6(pg.graph) + "\n")
+    (tmp_path / "h.json").write_text(json.dumps({"classes": [sorted(c) for c in pg.classes]}))
+
+
 def stripped(report):
     report = dict(report)
     report.pop("timing", None)
@@ -150,6 +157,17 @@ class TestGenCommands:
         assert (tmp_path / "rado.g6").exists()
         assert (tmp_path / "rado.classes.json").exists()
 
+    def test_half_out_files_round_trip(self, capsys, tmp_path):
+        # the classes file gen writes is read back as the same partition: the
+        # solve report is the one pinned for half_graph(3)
+        base = str(tmp_path / "half")
+        assert main(["gen", "half", "--k", "3", "--out", base]) == 0
+        code, rep = run_json(
+            capsys, *_SOLVE, "--graph", base + ".g6", "--classes", base + ".classes.json"
+        )
+        assert code == 0
+        assert rep["result"] == PINNED_REPORTS["transversal solve"][1]["result"]
+
     def test_shift_and_henson(self, capsys):
         code, out = run(capsys, "gen", "shift", "--n", "2", "--N", "4")
         assert code == 0
@@ -220,11 +238,8 @@ class TestSolverCommands:
         assert (code, out) == (2, "")
 
     def test_embed_halforder_on_half_graph(self, capsys, tmp_path):
-        pg = half_graph(5)
-        gpath = tmp_path / "h.g6"
-        cpath = tmp_path / "h.json"
-        gpath.write_text(encode_graph6(pg.graph) + "\n")
-        cpath.write_text(pg.classes_json())
+        write_half(tmp_path, 5)
+        gpath, cpath = tmp_path / "h.g6", tmp_path / "h.json"
         code, rep = run_json(
             capsys, "embed", "halforder", "--graph", str(gpath),
             "--classes", str(cpath),
@@ -234,12 +249,8 @@ class TestSolverCommands:
         assert rep["result"]["exact"] is True
 
     def test_embed_balanced(self, capsys, tmp_path):
-        pg = half_graph(3)
-        gpath = tmp_path / "h.g6"
-        cpath = tmp_path / "h.json"
-        ppath = tmp_path / "p.json"
-        gpath.write_text(encode_graph6(pg.graph) + "\n")
-        cpath.write_text(pg.classes_json())
+        write_half(tmp_path, 3)
+        gpath, cpath, ppath = tmp_path / "h.g6", tmp_path / "h.json", tmp_path / "p.json"
         ppath.write_text(json.dumps({"left": 1, "right": 1, "edges": [[0, 0]]}))
         code, rep = run_json(
             capsys, "embed", "balanced", "--graph", str(gpath),
@@ -248,14 +259,26 @@ class TestSolverCommands:
         assert code == 0
         assert rep["result"]["found"] is True
 
+    def test_embed_balanced_reads_the_pattern_as_written(self, capsys, tmp_path):
+        # left vertex 1 is joined to right vertex 0, left vertex 0 is not
+        write_half(tmp_path, 3)
+        ppath = tmp_path / "p.json"
+        ppath.write_text(json.dumps({"left": 2, "right": 1, "edges": [[1, 0]]}))
+        code, rep = run_json(
+            capsys, "embed", "balanced", "--graph", str(tmp_path / "h.g6"),
+            "--classes", str(tmp_path / "h.json"), "--pattern", str(ppath),
+        )
+        assert code == 0
+        left, [right] = rep["result"]["left_images"], rep["result"]["right_images"]
+        g = half_graph(3).graph
+        assert len(left) == 2
+        assert (g.has_edge(left[0], right), g.has_edge(left[1], right)) == (False, True)
+
     def test_embed_halforder_reports_budget_reason(self, capsys, tmp_path):
         # a node-budget stop and the greedy tail past exact_cap both give
         # exact false; only the first names a budget
-        pg = half_graph(5)
-        gpath = tmp_path / "h.g6"
-        cpath = tmp_path / "h.json"
-        gpath.write_text(encode_graph6(pg.graph) + "\n")
-        cpath.write_text(pg.classes_json())
+        write_half(tmp_path, 5)
+        gpath, cpath = tmp_path / "h.g6", tmp_path / "h.json"
         args = ("embed", "halforder", "--graph", str(gpath), "--classes", str(cpath))
         code, rep = run_json(capsys, *args, "--budget-nodes", "2")
         assert code == 0
@@ -268,12 +291,8 @@ class TestSolverCommands:
         assert rep["nodes"] == 14
 
     def test_embed_balanced_reports_budget_reason(self, capsys, tmp_path):
-        pg = half_graph(3)
-        gpath = tmp_path / "h.g6"
-        cpath = tmp_path / "h.json"
-        ppath = tmp_path / "p.json"
-        gpath.write_text(encode_graph6(pg.graph) + "\n")
-        cpath.write_text(pg.classes_json())
+        write_half(tmp_path, 3)
+        gpath, cpath, ppath = tmp_path / "h.g6", tmp_path / "h.json", tmp_path / "p.json"
         ppath.write_text(json.dumps({"left": 1, "right": 1, "edges": [[0, 0]]}))
         args = ("embed", "balanced", "--graph", str(gpath), "--classes", str(cpath),
                 "--pattern", str(ppath))
@@ -318,9 +337,7 @@ class TestSolverCommands:
 def write_inputs(tmp_path):
     """half_graph(3) as h.g6 + h.json, a one-edge pattern p.json, a vector
     family fam.json and the directed 3-cycle c3.d6, all in tmp_path."""
-    pg = half_graph(3)
-    (tmp_path / "h.g6").write_text(encode_graph6(pg.graph) + "\n")
-    (tmp_path / "h.json").write_text(pg.classes_json())
+    write_half(tmp_path, 3)
     (tmp_path / "p.json").write_text(json.dumps({"left": 1, "right": 1, "edges": [[0, 0]]}))
     (tmp_path / "fam.json").write_text(json.dumps([[1, 0], [0, 1], [1, 1], [1, -1]]))
     (tmp_path / "c3.d6").write_text(encode_digraph6(circulant_digraph(3, [1])) + "\n")
@@ -482,6 +499,48 @@ def test_bad_input_file_is_3(capsys, tmp_path, monkeypatch, name):
     assert line.startswith("error: ") and "bad" in line
 
 
+_CLASSES = [*_SOLVE, "--graph", "h.g6", "--classes", "bad"]
+_PATTERN = ["embed", "balanced", "--graph", "h.g6", "--classes", "h.json", "--pattern", "bad"]
+_FAMILY = ["ortho", "check", "--family", "bad", "--dim", "2", "--m", "2"]
+_POOL = ["ortho", "search", "--dim", "2", "--m", "1", "--pool", "bad"]
+
+# every number that a JSON input format reads must be a JSON integer; each
+# case is (command, text of "bad", error message)
+_VERTICES = "class vertices must be integers"
+_PATTERN_NUMBERS = "pattern sizes and edge ends must be integers"
+_COORDINATES = "vector coordinates must be integers"
+NON_INTEGER_INPUTS = {
+    "classes true": (_CLASSES, '{"classes": [[0, true, 2], [3, 4, 5]]}', _VERTICES),
+    "classes 1.7": (_CLASSES, '{"classes": [[0, 1.7, 2], [3, 4, 5]]}', _VERTICES),
+    'classes "1"': (_CLASSES, '{"classes": [[0, "1", 2], [3, 4, 5]]}', _VERTICES),
+    "classes nested": (_CLASSES, '{"classes": [[0, [1], 2], [3, 4, 5]]}', _VERTICES),
+    "pattern true": (_PATTERN, '{"left": 1, "right": true, "edges": [[0, 0]]}', _PATTERN_NUMBERS),
+    "pattern 1.7": (_PATTERN, '{"left": 1.7, "right": 1, "edges": [[0, 0]]}', _PATTERN_NUMBERS),
+    'pattern "1"': (_PATTERN, '{"left": 1, "right": 2, "edges": [[0, "1"]]}', _PATTERN_NUMBERS),
+    "pattern nested": (_PATTERN, '{"left": 1, "right": 1, "edges": [[[0], 0]]}', _PATTERN_NUMBERS),
+    "family true": (_FAMILY, "[[true, 0], [0, 1]]", _COORDINATES),
+    "family 1.7": (_FAMILY, "[[1.7, 1], [1, 0]]", _COORDINATES),
+    'family "1"': (_FAMILY, '[["1", 0], [0, 1]]', _COORDINATES),
+    "family nested": (_FAMILY, "[[[1], 0], [0, 1]]", _COORDINATES),
+    "pool 0.1": (_POOL, "[[0.1, 1], [1, 0]]", _COORDINATES),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_INPUTS))
+def test_non_integer_number_is_3(capsys, tmp_path, monkeypatch, name):
+    # a vector file used to read true and "1" as 1, and 0.1 as the binary
+    # fraction nearest it
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    argv, text, message = NON_INTEGER_INPUTS[name]
+    (tmp_path / "bad").write_text(text)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: cannot load bad: ") and line.endswith(message)
+
+
 @pytest.mark.parametrize("vertex", [6, -1])
 def test_class_vertex_outside_the_graph_is_3_and_named(capsys, tmp_path, monkeypatch, vertex):
     # half_graph(3) has 6 vertices
@@ -540,9 +599,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [["halforder"], ["balanced", "--pattern", "p.json"]])
     def test_negative_embed_budget_is_2(self, capsys, tmp_path, monkeypatch, command):
         monkeypatch.chdir(tmp_path)
-        pg = half_graph(3)
-        (tmp_path / "h.g6").write_text(encode_graph6(pg.graph) + "\n")
-        (tmp_path / "h.json").write_text(pg.classes_json())
+        write_half(tmp_path, 3)
         (tmp_path / "p.json").write_text(json.dumps({"left": 1, "right": 1, "edges": [[0, 0]]}))
         code = main(["embed", *command, "--graph", "h.g6", "--classes", "h.json", "--budget-nodes", "-1"])
         assert code == 2

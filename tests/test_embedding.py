@@ -13,6 +13,7 @@ from transversal_lab.constructions import (
 from transversal_lab.embedding import (
     SINGLE_EDGE,
     BipartitePattern,
+    HalfOrderResult,
     balanced_induced_embed,
     half_graph_order,
     rich_pair_surrogate,
@@ -63,7 +64,15 @@ class TestHalfGraphOrder:
             res = half_graph_order(pg.graph, pg.classes[0], pg.classes[1], exact_cap=7)
             assert res.order == k
             assert res.exact
-            assert res.verify(pg.graph)
+            assert res.verify(pg.graph, pg.classes[0], pg.classes[1])
+
+    def test_witness_must_lie_in_its_sides(self):
+        # with the sides swapped every a_i b_j is still an edge; the check
+        # used to pass it
+        pg = half_graph(4)
+        swapped = HalfOrderResult(4, True, (7, 6, 5, 4), (3, 2, 1, 0))
+        assert not swapped.verify(pg.graph, pg.classes[0], pg.classes[1])
+        assert swapped.verify(pg.graph, pg.classes[1], pg.classes[0])
 
     def test_empty_sides_give_vacuous_order_1(self):
         pg = empty_bipartite(4)
@@ -74,7 +83,7 @@ class TestHalfGraphOrder:
         pg = complete_bipartite(5)
         res = half_graph_order(pg.graph, pg.classes[0], pg.classes[1], exact_cap=5)
         assert res.order == 5
-        assert res.verify(pg.graph)
+        assert res.verify(pg.graph, pg.classes[0], pg.classes[1])
 
     def test_empty_side_order_0(self):
         g = UGraph.empty(3)
@@ -123,7 +132,7 @@ class TestHalfGraphOrder:
         res = half_graph_order(pg.graph, pg.classes[0], pg.classes[1], exact_cap=4)
         assert res.order >= 5
         assert not res.exact
-        assert res.verify(pg.graph)
+        assert res.verify(pg.graph, pg.classes[0], pg.classes[1])
 
     def test_budget_flagging(self):
         pg = half_graph(6)
@@ -199,24 +208,6 @@ class TestRichPairSurrogate:
 
 
 class TestBalancedInducedEmbed:
-    def test_pattern_from_json_dict(self):
-        data = {"left": 2, "right": 1, "edges": [[1, 0]]}
-        assert BipartitePattern.from_json_dict(data) == BipartitePattern(2, 1, frozenset({(1, 0)}))
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"left": 1.7, "right": 1, "edges": [[0, 0]]},
-            {"left": 1, "right": 1, "edges": [[0.9, 0]]},
-            {"left": 1, "right": True, "edges": [[0, 0]]},
-            {"left": 1, "right": 1, "edges": [[0, "0"]]},
-        ],
-    )
-    def test_pattern_numbers_must_be_json_integers(self, data):
-        # int() used to truncate 1.7 and 0.9, and read true as 1
-        with pytest.raises(ValueError, match="pattern sizes and edge ends must be integers"):
-            BipartitePattern.from_json_dict(data)
-
     def test_single_edge_into_half_graph(self):
         out = balanced_induced_embed(half_graph(3), SINGLE_EDGE)
         assert out.report is not None

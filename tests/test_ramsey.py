@@ -15,7 +15,6 @@ from transversal_lab.graphs import (
     has_transitive_set,
 )
 from transversal_lab.ramsey import (
-        RamseyTable,
     _OTHER_STATES,
     _circulant_is_good,
     _extend,
@@ -253,6 +252,20 @@ class TestCanonicalDeletion:
         assert len(calls) < out.nodes // 3
 
 
+# dr_bounds(n, m) for 1 <= n, m <= 8, row n - 1
+PINNED_DR_BOUNDS = [
+    [(1, 1)] * 8,
+    [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8)],
+    [(1, 1), (3, 4), (6, 9), (9, 16), (9, 25), (9, 36), (9, 49), (9, 64)],
+    [(1, 1), (4, 8), (9, 25), (9, 56), (9, 105), (9, 176), (9, 273), (9, 400)],
+    [(1, 1), (5, 16), (9, 65), (9, 176), (9, 385), (9, 736), (9, 1281), (9, 2080)],
+    [(1, 1), (6, 32), (9, 161), (9, 512), (9, 1281), (9, 2752), (9, 5313), (9, 9472)],
+    [(1, 1), (8, 64), (9, 385), (9, 1408), (9, 3969), (9, 9472), (9, 20097), (9, 39040)],
+    [(1, 1), (12, 128), (12, 897), (12, 3712), (12, 11649), (12, 30592), (12, 70785),
+     (12, 148864)],
+]
+
+
 class TestDrBounds:
     def test_recurrence_with_known_values(self):
         lo, hi = dr_bounds(3, 3, known={(2, 3): 3, (3, 2): 4})
@@ -304,19 +317,19 @@ class TestDrBounds:
                 lo, hi = dr_bounds(n, m)
                 assert 1 <= lo <= hi
 
+    def test_pinned_small_grid(self):
+        got = [[dr_bounds(n, m) for m in range(1, 9)] for n in range(1, 9)]
+        assert got == PINNED_DR_BOUNDS
+
 
 class TestRamseyTable:
     def test_default_entries(self):
-        table = RamseyTable.default()
-        assert table.lookup(3, 3)[:2] == (6, 6)
-        assert table.lookup(4, 3)[:2] == (9, 9)  # sorted key
-        assert table.lookup(3, 3, 3)[:2] == (17, 17)
+        # R(3,3) = 6 and R(3,4) = 9 are the lower ends they give dr_bounds
+        assert dr_bounds(3, 3)[0] == 6
+        assert dr_bounds(3, 4)[0] == dr_bounds(4, 3)[0] == 9
 
     def test_local_verification_of_r33(self):
         assert verify_ramsey_33()
-        table = RamseyTable.default()
-        table.mark_verified(3, 3)
-        assert table.lookup(3, 3)[2] == "verified"
 
     def test_k4_colouring_exists_without_mono_triangle(self):
         assert not two_colour_ramsey_holds(3, 3, 4)
