@@ -294,8 +294,11 @@ def partition_extension_witness(
     begin ((), ()), then ((), (v,)) for each v < total, then ((v,), ()).
     As total = g.order + pair_budget >= pair_budget, the first pair_budget
     pairs are ((), ()) and ((), (v,)) for v < pair_budget - 1, so only
-    those are processed and each fresh vertex is created adjacent to at
-    most one vertex.
+    those are processed.  For n >= 3 no b_k holds a K_{n-1}: pair 0 takes
+    fresh vertex g.order and joins it to nothing, and pair k >= 1, with
+    b_k = (k - 1,), joins fresh vertex g.order + k to vertex k - 1 (every
+    earlier fresh vertex is taken, and k - 1 < g.order + k).  For n <= 2
+    every singleton b_k holds a K_{n-1}, so no edge is added.
     """
     if has_clique(g, n):
         raise ValueError("input graph must be K_n-free")
@@ -306,18 +309,11 @@ def partition_extension_witness(
         raise ValueError("pair_budget must be >= 0")
     total = g.order + pair_budget
     adj = list(g.adj) + [0] * pair_budget
-    free_w = list(range(g.order, total))
-    for k in range(pair_budget):
-        bmask = 1 << (k - 1) if k else 0  # b_k: (), then (k - 1,)
-        if find_clique_in(adj, bmask, n - 1) is not None:
-            continue
-        w = next((v for v in free_w if not bmask >> v & 1), None)
-        if w is None:
-            continue
-        free_w.remove(w)
-        adj[w] = bmask
-        for u in bits(bmask):
-            adj[u] |= 1 << w
+    if n >= 3:
+        for k in range(1, pair_budget):
+            w = g.order + k
+            adj[w] = 1 << (k - 1)
+            adj[k - 1] |= 1 << w
     graph = UGraph(total, adj)
     classes = (
         frozenset(range(g.order, total)) | aset,

@@ -25,7 +25,10 @@ class BipartitePattern:
     cross_edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        for a, b in self.cross_edges:
+        for edge in self.cross_edges:
+            if len(edge) != 2:
+                raise ValueError(f"pattern edge {edge} must have two ends")
+            a, b = edge
             if not (0 <= a < self.left_size and 0 <= b < self.right_size):
                 raise ValueError(f"edge ({a},{b}) outside declared sides")
 

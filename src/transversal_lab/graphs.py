@@ -47,19 +47,10 @@ class Budget:
     step reports what a node-by-node walk would.  Later spends still add
     to `nodes`.  The clock is read when `nodes` is a multiple of 256, or
     by out_of_time().  `reason` names the limit hit first, "nodes" or
-    "time", and stays set; None while neither is.
-
-    A hot loop may count in a local int and hand its total to one spend()
-    when it stops, if it stops where a spend() per node would:
-    - on a budget that has already stopped, at once: the next node ends
-      the loop;
-    - otherwise on the node that passes `limit - nodes`, the room left
-      when the loop began, not `limit`;
-    - with a deadline, at latest when the shared count `nodes` reaches a
-      multiple of 256, handing its count to spend() there so the clock
-      is read.
-    ramsey._moves_to_check computes that distance.  A search unwinds on a
-    stop by raising errors.BudgetExceeded.
+    "time", and stays set; None while neither is.  A hot loop may count
+    in a local int and hand its count to spend() once room() nodes are
+    taken, reading room() afresh after each spend().  A search unwinds on
+    a stop by raising errors.BudgetExceeded.
     """
 
     __slots__ = ("limit", "deadline", "nodes", "reason")
@@ -91,6 +82,16 @@ class Budget:
             ):
                 self.reason = "time"
         return self.reason is None
+
+    def room(self) -> float:
+        """Nodes a loop counting in a local int may take before it must hand
+        its count to spend(), which then stops where a spend() per node
+        would: the node that passes the limit (the next node, once a limit
+        is hit), or the one that brings `nodes` to a multiple of 256, where
+        spend() reads the clock."""
+        room = 0 if self.reason is not None else self.limit - self.nodes
+        clock = 256 - self.nodes % 256 if self.deadline is not None else math.inf
+        return min(room + 1, clock)
 
     def out_of_time(self) -> bool:
         """Check the clock without spending a node; True once a limit is hit."""

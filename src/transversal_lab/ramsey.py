@@ -535,16 +535,6 @@ def _annealing_energy(d: BitDigraph, m: int) -> int:
 _OTHER_STATES = ((1, 2), (0, 2), (0, 1))
 
 
-def _moves_to_check(budget: Budget) -> float:
-    """Moves a walk counting in a local int may make before it must hand
-    its count to budget.spend(): up to the move that passes the node limit
-    (the next move, once a limit is hit) or that brings the shared count to
-    a multiple of 256, where spend() reads the clock."""
-    room = 0 if budget.hit else budget.limit - budget.nodes
-    clock = 256 - budget.nodes % 256 if budget.deadline is not None else math.inf
-    return min(room + 1, clock)
-
-
 def probe_local_search(
     m: int,
     order: int,
@@ -590,7 +580,7 @@ def probe_local_search(
 
     Budget.  Moves are counted in a local int and handed to budget.spend()
     once per seed, or at the move where spend() would stop the walk or
-    read the clock, whichever comes first (_moves_to_check).  So the walk
+    read the clock, whichever comes first (Budget.room).  So the walk
     stops at the move where spending one node per move would: the node
     stop leaves nodes == limit + 1; with a deadline the clock is read when
     the shared count reaches a multiple of 256; a budget already stopped
@@ -626,7 +616,7 @@ def probe_local_search(
         energy = _annealing_energy(BitDigraph(order, out), m)
         # moves of this seed already spent, and the move that spends next
         spent = 0
-        check = iters if budget is None else min(iters, _moves_to_check(budget) - 1)
+        check = iters if budget is None else min(iters, budget.room() - 1)
         moves = iters
         for it in range(iters):
             if energy == 0:
@@ -636,7 +626,7 @@ def probe_local_search(
                 if not budget.spend(it + 1 - spent):
                     return None
                 spent = it + 1
-                check = min(iters, it + _moves_to_check(budget))
+                check = min(iters, it + budget.room())
             k = getrandbits(width)
             while k >= n_pairs:
                 k = getrandbits(width)

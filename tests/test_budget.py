@@ -48,6 +48,18 @@ class TestBudget:
         assert not budget.spend(20)
         assert (budget.nodes, budget.reason) == (20, "time")
 
+    def test_room_reaches_the_node_that_stops_or_reads_the_clock(self):
+        assert Budget().room() == math.inf
+        budget = Budget(5)
+        assert budget.room() == 6
+        assert budget.spend(4) and budget.room() == 2
+        assert not budget.spend(budget.room())
+        assert budget.room() == 1
+        budget = Budget(1000, 60)
+        assert budget.room() == 256
+        assert budget.spend(250) and budget.room() == 6
+        assert budget.spend(700) and budget.room() == 51
+
     @pytest.mark.parametrize(
         "node_budget, time_budget, message",
         [(-1, None, "node_budget must be >= 0"), (None, -0.5, "time_budget must be >= 0")],

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,25 @@ from transversal_lab.codec import decode_graph6, encode_digraph6, encode_graph6
 from transversal_lab.constructions import half_graph, tensor
 from transversal_lab.graphs import UGraph
 from transversal_lab.ramsey import circulant_digraph
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def python(cwd, *args, hash_seed=None):
+    """Run this interpreter on args as its own process in cwd, importing
+    transversal_lab from this checkout's src."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def tlab(cwd, *argv, hash_seed=None):
+    """The CLI on argv as its own process, __main__ guard included."""
+    return python(cwd, "-m", "transversal_lab.cli", *argv, hash_seed=hash_seed)
 
 
 def run(capsys, *argv):
@@ -447,62 +469,75 @@ def test_pinned_report(capsys, tmp_path, monkeypatch, name):
 
 
 _SOLVE = ["transversal", "solve", "--m", "2", "--ell", "1"]
-
-# each command reads the file "bad" (written with the given text, or left
-# missing for None) where a good input file would go
-MALFORMED_INPUTS = {
-    "classes without a classes key": ([*_SOLVE, "--graph", "h.g6", "--classes", "bad"], '{"foo": 1}'),
-    "malformed classes JSON": ([*_SOLVE, "--graph", "h.g6", "--classes", "bad"], '{"classes": [[0'),
-    "classes that miss a vertex": (
-        [*_SOLVE, "--graph", "h.g6", "--classes", "bad"], '{"classes": [[0, 1, 2], [3, 4]]}'
-    ),
-    "empty graph6 file": ([*_SOLVE, "--graph", "bad", "--classes", "h.json"], ""),
-    "empty digraph6 file": (["gen", "layered", "--digraph", "bad", "--depth", "2"], ""),
-    "vector file holding a number": (
-        ["ortho", "check", "--family", "bad", "--dim", "2", "--m", "2"], "5"
-    ),
-    "pattern without right": (
-        ["embed", "balanced", "--graph", "h.g6", "--classes", "h.json", "--pattern", "bad"],
-        '{"left": 1, "edges": [[0, 0]]}',
-    ),
-    "pattern with float numbers": (
-        ["embed", "balanced", "--graph", "h.g6", "--classes", "h.json", "--pattern", "bad"],
-        '{"left": 1.7, "right": 1, "edges": [[0.9, 0]]}',
-    ),
-    "classes holding true": (
-        [*_SOLVE, "--graph", "h.g6", "--classes", "bad"], '{"classes": [[0, true, 2], [3, 4, 5]]}'
-    ),
-    "three classes for embed halforder": (
-        ["embed", "halforder", "--graph", "h.g6", "--classes", "bad"],
-        '{"classes": [[0, 1], [2, 3], [4, 5]]}',
-    ),
-    "three classes for embed balanced": (
-        ["embed", "balanced", "--graph", "h.g6", "--classes", "bad", "--pattern", "p.json"],
-        '{"classes": [[0, 1], [2, 3], [4, 5]]}',
-    ),
-    "missing input file": ([*_SOLVE, "--graph", "bad", "--classes", "h.json"], None),
-    "unwritable out path": (["gen", "half", "--k", "2", "--out", "bad/half"], None),
-}
-
-
-@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
-def test_bad_input_file_is_3(capsys, tmp_path, monkeypatch, name):
-    monkeypatch.chdir(tmp_path)
-    write_inputs(tmp_path)
-    argv, text = MALFORMED_INPUTS[name]
-    if text is not None:
-        (tmp_path / "bad").write_text(text)
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    [line] = captured.err.splitlines()
-    assert line.startswith("error: ") and "bad" in line
-
-
 _CLASSES = [*_SOLVE, "--graph", "h.g6", "--classes", "bad"]
 _PATTERN = ["embed", "balanced", "--graph", "h.g6", "--classes", "h.json", "--pattern", "bad"]
 _FAMILY = ["ortho", "check", "--family", "bad", "--dim", "2", "--m", "2"]
 _POOL = ["ortho", "search", "--dim", "2", "--m", "1", "--pool", "bad"]
+
+
+def bad_input_error(tmp_path, argv, text):
+    """Run the CLI on argv as its own process in tmp_path, with the file
+    "bad" holding text (left missing for None): it must exit 3 with an
+    empty stdout and no traceback, and print one error line naming the
+    file, which is returned."""
+    write_inputs(tmp_path)
+    if text is not None:
+        (tmp_path / "bad").write_text(text)
+    proc = tlab(tmp_path, *argv)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout) == (3, "")
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "bad" in line
+    return line
+
+
+# each case is (command, text, message): the command reads the file "bad"
+# where a good input file would go, written with text or left missing for
+# None; message, where given, ends the error line
+MALFORMED_INPUTS = {
+    "classes without a classes key": (_CLASSES, '{"foo": 1}', None),
+    "malformed classes JSON": (_CLASSES, '{"classes": [[0', None),
+    "classes that miss a vertex": (_CLASSES, '{"classes": [[0, 1, 2], [3, 4]]}', None),
+    "classes holding a vertex past the graph": (
+        _CLASSES, '{"classes": [[0, 1, 2], [3, 4, 5, 6]]}',
+        "partition class 1 holds vertex 6, not one of 0..5",
+    ),
+    "empty graph6 file": ([*_SOLVE, "--graph", "bad", "--classes", "h.json"], "", None),
+    "empty digraph6 file": (["gen", "layered", "--digraph", "bad", "--depth", "2"], "", None),
+    "vector file holding a number": (_FAMILY, "5", None),
+    "pattern without right": (_PATTERN, '{"left": 1, "edges": [[0, 0]]}', None),
+    "pattern with float numbers": (
+        _PATTERN, '{"left": 1.7, "right": 1, "edges": [[0.9, 0]]}', None
+    ),
+    "pattern edge with three ends": (
+        _PATTERN, '{"left": 1, "right": 1, "edges": [[0, 0, 0]]}',
+        "pattern edge (0, 0, 0) must have two ends",
+    ),
+    "pattern edge with one end": (
+        _PATTERN, '{"left": 1, "right": 1, "edges": [[0]]}', "pattern edge (0,) must have two ends"
+    ),
+    "classes holding true": (_CLASSES, '{"classes": [[0, true, 2], [3, 4, 5]]}', None),
+    "three classes for embed halforder": (
+        ["embed", "halforder", "--graph", "h.g6", "--classes", "bad"],
+        '{"classes": [[0, 1], [2, 3], [4, 5]]}',
+        "halforder needs exactly 2 classes",
+    ),
+    "three classes for embed balanced": (
+        ["embed", "balanced", "--graph", "h.g6", "--classes", "bad", "--pattern", "p.json"],
+        '{"classes": [[0, 1], [2, 3], [4, 5]]}',
+        "balanced needs exactly 2 classes",
+    ),
+    "missing input file": ([*_SOLVE, "--graph", "bad", "--classes", "h.json"], None, None),
+    "unwritable out path": (["gen", "half", "--k", "2", "--out", "bad/half"], None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_bad_input_file_is_3(tmp_path, name):
+    argv, text, message = MALFORMED_INPUTS[name]
+    line = bad_input_error(tmp_path, argv, text)
+    assert message is None or line.endswith(message)
+
 
 # every number that a JSON input format reads must be a JSON integer; each
 # case is (command, text of "bad", error message)
@@ -527,17 +562,11 @@ NON_INTEGER_INPUTS = {
 
 
 @pytest.mark.parametrize("name", sorted(NON_INTEGER_INPUTS))
-def test_non_integer_number_is_3(capsys, tmp_path, monkeypatch, name):
+def test_non_integer_number_is_3(tmp_path, name):
     # a vector file used to read true and "1" as 1, and 0.1 as the binary
     # fraction nearest it
-    monkeypatch.chdir(tmp_path)
-    write_inputs(tmp_path)
     argv, text, message = NON_INTEGER_INPUTS[name]
-    (tmp_path / "bad").write_text(text)
-    assert main(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    [line] = captured.err.splitlines()
+    line = bad_input_error(tmp_path, argv, text)
     assert line.startswith("error: cannot load bad: ") and line.endswith(message)
 
 
@@ -628,3 +657,90 @@ class TestExitCodes:
         assert code == 2
         captured = capsys.readouterr()
         assert "exact_cap must be >= 0" in captured.err and captured.out == ""
+
+
+def write_seed_inputs(tmp_path):
+    """The inputs of the two-hash-seed commands, in tmp_path: a vector
+    family fam.json; a digraph with a 2-cycle d.d6, C_5 g.g6 and the path on
+    3 vertices h.g6 for the generators; the layered blowup of d.d6 at depth
+    4 and half_graph(4), each as .g6 and .classes.json, and a 2+2 pattern
+    with one edge p22.json for the solvers."""
+    (tmp_path / "fam.json").write_text("[[1, 0], [0, 1], [1, 1], [1, -1]]")
+    (tmp_path / "d.d6").write_text("&CQ`_\n")
+    (tmp_path / "g.g6").write_text("Dhc\n")
+    (tmp_path / "h.g6").write_text("Bg\n")
+    (tmp_path / "p22.json").write_text('{"left": 2, "right": 2, "edges": [[0, 1]]}')
+    layered = ["gen", "layered", "--digraph", str(tmp_path / "d.d6"), "--depth", "4"]
+    assert main([*layered, "--out", str(tmp_path / "layered")]) == 0
+    assert main(["gen", "half", "--k", "4", "--out", str(tmp_path / "half")]) == 0
+
+
+# hash randomisation is fixed for the life of a process, so only separate
+# processes can show a budgeted report or a generated graph that depends on
+# set or dict order: each command runs under PYTHONHASHSEED 0 and 1, and the
+# reports, timing aside, or the files gen writes must be identical.
+# (5,2) to order 6 certifies with the first child accepted at order 6, found
+# by the extender's search for transitive triples on ordered masks.  The
+# --pool and --no-probe runs cover the two params that are not a flag's
+# plain value.  A zero --budget-secs fails every clock read, so the circulant
+# scan stops at once and the annealer after one move: 2 nodes.  The
+# dimension-3 ortho search is the witness benchmark's (3,3) walk, stopped at
+# 50,000 nodes.  The transversal solver runs on the layered blowup to the end
+# (found after 20 nodes) and stopped at 10 nodes.  The balanced embedding of
+# the 2+2 pattern into the half graph on 4+4 vertices runs to the end (found
+# after 4 nodes) and, under --budget-nodes 2, stops after 3 nodes
+SAME_REPORT_COMMANDS = [
+    "dr compute --n 3 --m 3 --no-probe",
+    "dr compute --n 4 --m 2 --no-probe",
+    "dr compute --n 5 --m 2 --no-probe --max-order 6",
+    "dr compute --n 3 --m 4 --budget-nodes 20000",
+    "dr compute --n 5 --m 2 --budget-nodes 10000",
+    "dr compute --n 4 --m 3 --budget-nodes 20000",
+    "dr compute --n 3 --m 4 --no-probe --max-order 5",
+    "dr compute --n 3 --m 4 --budget-secs 0",
+    "ortho search --dim 2 --m 3 --pool-height 3",
+    "ortho search --dim 3 --m 3 --budget-nodes 50000",
+    "ortho search --dim 2 --m 2 --pool fam.json",
+    "transversal solve --graph layered.g6 --classes layered.classes.json --m 3 --ell 2",
+    "transversal solve --graph layered.g6 --classes layered.classes.json --m 3 --ell 2 --budget-nodes 10",
+    "embed balanced --graph half.g6 --classes half.classes.json --pattern p22.json",
+    "embed balanced --graph half.g6 --classes half.classes.json --pattern p22.json --budget-nodes 2",
+]
+SAME_FILE_COMMANDS = [
+    "gen layered --digraph d.d6 --depth 4",
+    "gen tensor --g g.g6 --h h.g6",
+    "gen henson --n 3 --rounds 2 --rng-seed 1",
+    "gen rado --depth 8",
+    "gen partition-witness --graph g.g6 --a 0,1 --b 2,3,4 --n 3 --pair-budget 12",
+    "gen half --k 4",
+]
+
+
+@pytest.mark.parametrize("command", SAME_REPORT_COMMANDS)
+def test_same_report_under_two_hash_seeds(tmp_path, command):
+    write_seed_inputs(tmp_path)
+    reports = []
+    for seed in (0, 1):
+        proc = tlab(tmp_path, *command.split(), hash_seed=seed)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(stripped(json.loads(proc.stdout)))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", SAME_FILE_COMMANDS)
+def test_same_files_under_two_hash_seeds(tmp_path, command):
+    write_seed_inputs(tmp_path)
+    for seed in (0, 1):
+        proc = tlab(tmp_path, *command.split(), "--out", f"gen.{seed}", hash_seed=seed)
+        assert proc.returncode == 0, proc.stderr
+    written = [sorted(tmp_path.glob(f"gen.{seed}.*")) for seed in (0, 1)]
+    assert written[0] and len(written[0]) == len(written[1])
+    for first, second in zip(*written):
+        assert first.name[len("gen.0"):] == second.name[len("gen.1"):]
+        assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name)
+def test_demo_exits_0(tmp_path, demo):
+    proc = python(tmp_path, str(demo))
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -253,6 +254,12 @@ class TestBalancedInducedEmbed:
         pattern = BipartitePattern(1, 2, frozenset({(0, 0)}))
         out = balanced_induced_embed(host, pattern)
         assert out.report is None and out.exact
+
+    @pytest.mark.parametrize("edge", [(0, 0, 0), (0,)])
+    def test_edge_must_have_two_ends(self, edge):
+        # used to fail on unpacking, without naming the edge
+        with pytest.raises(ValueError, match=re.escape(f"pattern edge {edge} must have two ends")):
+            BipartitePattern(1, 1, frozenset({edge}))
 
     def test_random_reports_verify(self):
         rng = random.Random(99)

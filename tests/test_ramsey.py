@@ -322,7 +322,7 @@ class TestDrBounds:
         assert got == PINNED_DR_BOUNDS
 
 
-class TestRamseyTable:
+class TestClassicalRamsey:
     def test_default_entries(self):
         # R(3,3) = 6 and R(3,4) = 9 are the lower ends they give dr_bounds
         assert dr_bounds(3, 3)[0] == 6
