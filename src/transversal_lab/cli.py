@@ -95,10 +95,17 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return values
 
 
+def _rows(value, name: str, what: str) -> list[tuple[int, ...]]:
+    """The JSON array of arrays `name`, each row read by _ints."""
+    if type(value) is not list or any(type(row) is not list for row in value):
+        raise ValueError(f"{name} must be a list of lists")
+    return [_ints(row, what) for row in value]
+
+
 def _read_classes(graph: UGraph, text: str) -> PartitionedGraph:
     """The partition {"classes": [[v, ...], ...]} of graph."""
-    classes = json.loads(text)["classes"]
-    return PartitionedGraph(graph, tuple(frozenset(_ints(c, "class vertices")) for c in classes))
+    classes = _rows(json.loads(text)["classes"], "classes", "class vertices")
+    return PartitionedGraph(graph, tuple(frozenset(c) for c in classes))
 
 
 def _read_pattern(text: str) -> BipartitePattern:
@@ -106,12 +113,12 @@ def _read_pattern(text: str) -> BipartitePattern:
     data = json.loads(text)
     what = "pattern sizes and edge ends"
     left, right = _ints((data["left"], data["right"]), what)
-    return BipartitePattern(left, right, frozenset(_ints(e, what) for e in data["edges"]))
+    return BipartitePattern(left, right, frozenset(_rows(data["edges"], "edges", what)))
 
 
 def _read_family(dim: int, text: str) -> VectorFamily:
     """The vector family [[x, ...], ...] in dimension dim."""
-    return VectorFamily.from_raw(dim, [_ints(v, "vector coordinates") for v in json.loads(text)])
+    return VectorFamily.from_raw(dim, _rows(json.loads(text), "vector family", "vector coordinates"))
 
 
 def _load_partitioned(graph_path: str, classes_path: str) -> PartitionedGraph:

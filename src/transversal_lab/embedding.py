@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .constructions import PartitionedGraph
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, VerificationError
 from .graphs import Budget, UGraph, bits, mask_of
 
 
@@ -398,6 +398,6 @@ def balanced_induced_embed(
                 tuple(images[:size]), tuple(images[size:]), (left_cls, 1 - left_cls)
             )
             if not report.verify(host, pattern):
-                raise AssertionError("embedding failed its own re-verification")
+                raise VerificationError("embedding failed its own re-verification")
             return EmbedOutcome(report, True, budget.nodes)
     return EmbedOutcome(None, True, budget.nodes)

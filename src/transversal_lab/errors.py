@@ -20,18 +20,20 @@ class MalformedInput(TransversalLabError):
     """Unparseable graph6/digraph6 text or invalid structured input."""
 
 
-class NotACounterexample(TransversalLabError):
+class VerificationError(TransversalLabError):
+    """A result failed its re-verification predicate before emission."""
+
+
+class NotACounterexample(VerificationError):
     """A digraph offered as a counterexample contains a forbidden structure.
 
     ``kind`` is "transitive" or "independent"; ``witness`` is the offending
     vertex tuple (ordered for transitive sets, sorted for independent sets).
+    A search that checks its own candidate fails verification with it.
     """
 
     def __init__(self, kind: str, witness: tuple):
-        super().__init__(f"digraph contains a {kind} witness {witness}")
+        article = "an" if kind == "independent" else "a"
+        super().__init__(f"digraph contains {article} {kind} witness {witness}")
         self.kind = kind
         self.witness = witness
-
-
-class VerificationError(TransversalLabError):
-    """A result failed its re-verification predicate before emission."""

@@ -190,9 +190,9 @@ class UGraph:
 
     def vertex_mask(self, vertices: Iterable[int]) -> int:
         """The mask of the given vertices; a vertex outside 0..order-1
-        raises ValueError.  induced and the embedding analyzers take their
-        vertex sets through it, and is_independent raises through it, so
-        one mistake gets one message."""
+        raises ValueError.  induced, is_independent and the embedding
+        analyzers take their vertex sets through it, so one mistake gets
+        one message."""
         mask = 0
         for v in vertices:
             if not 0 <= v < self.order:
@@ -409,15 +409,8 @@ def has_clique(g: UGraph, k: int) -> bool:
 
 def is_independent(g: UGraph, vertices: Iterable[int]) -> bool:
     """True iff no two of the given vertices are adjacent in g; a vertex
-    outside g raises ValueError.  The mask is built without a per-vertex
-    check, and UGraph.vertex_mask is asked only to name the bad vertex."""
-    try:
-        m = mask_of(vertices)
-    except ValueError:  # a negative vertex
-        m = -1
-    if m < 0 or m >> g.order:
-        g.vertex_mask(vertices)
-        raise ValueError("vertex set not contained in the graph")  # a spent iterator
+    outside g raises ValueError, naming it (UGraph.vertex_mask)."""
+    m = g.vertex_mask(vertices)
     for v in bits(m):
         if g.adj[v] & m:
             return False

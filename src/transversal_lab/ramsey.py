@@ -103,12 +103,15 @@ class DrResult:
     m: int
     lower: int
     upper: int
-    exact: bool
     certificate: Optional[DrCertificate]
     proof_method: str  # exhaustive | bound-table | recurrence
     nodes: int = 0
     budget_reason: Optional[str] = None  # nodes | time, the limit hit first
     level_counts: tuple[int, ...] = ()
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
     @property
     def value(self) -> Optional[int]:
@@ -703,7 +706,13 @@ def search_dr(
     certificates; (2) exhaustive isomorph-free enumeration by increasing
     order, which proves exactness when an empty level is reached; (3) bound
     arithmetic to close or report the remaining gap.  One budget bounds
-    all phases; annealer moves and extender nodes count as nodes.
+    all phases; annealer moves and extender nodes count as nodes.  The
+    upper bound is the first empty level's order if one is reached, else
+    hi_bound, and the result is exact when it meets the lower bound.
+    Lemma (an empty level is exact): let it be at order e.  Then
+    e <= search_cap <= hi_bound and the deepest level has order e - 1.  No
+    good digraph has order e or more, so best_cert.order = e - 1 and
+    lower = e = upper.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
@@ -711,7 +720,7 @@ def search_dr(
         raise ValueError("max_order must be >= 1")
     budget = Budget(node_budget, time_budget)
     if n == 1 or m == 1:
-        return DrResult(n, m, 1, 1, True, None, "bound-table")
+        return DrResult(n, m, 1, 1, None, "bound-table")
 
     _, hi_bound = dr_bounds(n, m)
     # searching past hi_bound is provably futile: the first empty level
@@ -740,26 +749,16 @@ def search_dr(
     if best_cert is None:
         raise AssertionError("a single vertex is always a counterexample for n, m >= 2")
 
-    lower = best_cert.order + 1
-    upper = hi_bound
-    proof = "recurrence"
-    exact = False
     if outcome.exhausted_empty_order is not None:
-        upper = min(upper, outcome.exhausted_empty_order)
-        if best_cert.order == outcome.exhausted_empty_order - 1:
-            exact = True
-            proof = "exhaustive"
-    if not exact and lower == upper:
-        exact = True
-    if exact and lower != upper:
-        raise AssertionError("exactness flag out of sync with bounds")
+        upper, proof = outcome.exhausted_empty_order, "exhaustive"
+    else:
+        upper, proof = hi_bound, "recurrence"
 
     return DrResult(
         n=n,
         m=m,
-        lower=lower,
+        lower=best_cert.order + 1,
         upper=upper,
-        exact=exact,
         certificate=best_cert,
         proof_method=proof,
         nodes=budget.nodes,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from transversal_lab import __version__
+from transversal_lab import __version__, embedding, ramsey
 from transversal_lab.cli import main
 from transversal_lab.codec import decode_graph6, encode_digraph6, encode_graph6
 from transversal_lab.constructions import half_graph, tensor
@@ -504,7 +504,17 @@ MALFORMED_INPUTS = {
     ),
     "empty graph6 file": ([*_SOLVE, "--graph", "bad", "--classes", "h.json"], "", None),
     "empty digraph6 file": (["gen", "layered", "--digraph", "bad", "--depth", "2"], "", None),
-    "vector file holding a number": (_FAMILY, "5", None),
+    "vector file holding a number": (_FAMILY, "5", "vector family must be a list of lists"),
+    "vector family holding numbers": (_FAMILY, "[1, 2]", "vector family must be a list of lists"),
+    "vector family as an object": (_FAMILY, '{"a": 1}', "vector family must be a list of lists"),
+    "classes holding numbers": (_CLASSES, '{"classes": [0, 1]}', "classes must be a list of lists"),
+    "classes as a number": (_CLASSES, '{"classes": 7}', "classes must be a list of lists"),
+    "pattern edges holding a number": (
+        _PATTERN, '{"left": 1, "right": 1, "edges": [0]}', "edges must be a list of lists"
+    ),
+    "pattern edges as a number": (
+        _PATTERN, '{"left": 1, "right": 1, "edges": 5}', "edges must be a list of lists"
+    ),
     "pattern without right": (_PATTERN, '{"left": 1, "edges": [[0, 0]]}', None),
     "pattern with float numbers": (
         _PATTERN, '{"left": 1.7, "right": 1, "edges": [[0.9, 0]]}', None
@@ -657,6 +667,32 @@ class TestExitCodes:
         assert code == 2
         captured = capsys.readouterr()
         assert "exact_cap must be >= 0" in captured.err and captured.out == ""
+
+
+# an internal check that fails inside a search exits 4, not 2 or with a
+# traceback; each case patches the library so that its check fails
+class TestInternalVerificationFailure:
+    def expect_4(self, capsys, argv):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification failure: ")
+        return captured.err
+
+    def test_probe_candidate_failing_its_check(self, capsys, monkeypatch):
+        # the circulant scan then offers the empty digraph, which
+        # check_counterexample refuses inside search_dr
+        monkeypatch.setattr(ramsey, "_circulant_is_good", lambda d, n, m: True)
+        err = self.expect_4(capsys, ["dr", "compute", "--n", "3", "--m", "3"])
+        assert "digraph contains an independent witness (0, 1, 2)" in err
+
+    def test_embedding_failing_its_own_check(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_inputs(tmp_path)
+        monkeypatch.setattr(embedding.EmbeddingReport, "verify", lambda self, host, pattern: False)
+        argv = ["embed", "balanced", "--graph", "h.g6", "--classes", "h.json", "--pattern", "p.json"]
+        err = self.expect_4(capsys, argv)
+        assert "embedding failed its own re-verification" in err
 
 
 def write_seed_inputs(tmp_path):

@@ -276,10 +276,13 @@ class TestIndependence:
         g = UGraph.empty(5)
         assert is_independent(g, {0, 2, 4})
 
-    @pytest.mark.parametrize("vertices, bad", [([-1], -1), ([0, 5], 5)])
+    @pytest.mark.parametrize(
+        "vertices, bad",
+        [([-1], -1), ([0, 5], 5), pytest.param((v for v in [0, 5]), 5, id="generator-5")],
+    )
     def test_vertex_outside_the_graph_named(self, vertices, bad):
         # -1 used to raise "negative shift count", 5 "vertex set not
-        # contained in the graph"
+        # contained in the graph", also from a generator, which one pass spends
         with pytest.raises(ValueError, match=rf"vertex {bad} outside 0\.\.2"):
             is_independent(UGraph.empty(3), vertices)
 

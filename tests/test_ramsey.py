@@ -75,6 +75,7 @@ class TestCheckCounterexample:
         with pytest.raises(NotACounterexample) as exc:
             check_counterexample(BitDigraph.empty(3), 2, 3)
         assert exc.value.kind == "independent"
+        assert str(exc.value) == "digraph contains an independent witness (0, 1, 2)"
 
 
 class TestSearchDr:
