@@ -102,18 +102,30 @@ def _rows(value, name: str, what: str) -> list[tuple[int, ...]]:
     return [_ints(row, what) for row in value]
 
 
+def _fields(text: str, name: str, keys: tuple[str, ...]) -> tuple:
+    """The values of `keys` in the JSON object `text`, a `name` file."""
+    data = json.loads(text)
+    if type(data) is not dict:
+        raise ValueError(f"{name} must be a JSON object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{name} has no {key!r} key")
+    return tuple(data[key] for key in keys)
+
+
 def _read_classes(graph: UGraph, text: str) -> PartitionedGraph:
     """The partition {"classes": [[v, ...], ...]} of graph."""
-    classes = _rows(json.loads(text)["classes"], "classes", "class vertices")
+    (rows,) = _fields(text, "classes file", ("classes",))
+    classes = _rows(rows, "classes", "class vertices")
     return PartitionedGraph(graph, tuple(frozenset(c) for c in classes))
 
 
 def _read_pattern(text: str) -> BipartitePattern:
     """The pattern {"left": L, "right": R, "edges": [[i, j], ...]}."""
-    data = json.loads(text)
+    left, right, edges = _fields(text, "pattern", ("left", "right", "edges"))
     what = "pattern sizes and edge ends"
-    left, right = _ints((data["left"], data["right"]), what)
-    return BipartitePattern(left, right, frozenset(_rows(data["edges"], "edges", what)))
+    left, right = _ints((left, right), what)
+    return BipartitePattern(left, right, frozenset(_rows(edges, "edges", what)))
 
 
 def _read_family(dim: int, text: str) -> VectorFamily:

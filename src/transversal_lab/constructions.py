@@ -10,7 +10,7 @@ segments; the truncation depth is always an explicit caller parameter.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -25,15 +25,19 @@ class PartitionedGraph:
     """A graph together with an ordered partition of its vertices.
 
     Classes are pairwise disjoint and cover the vertex set; class order is
-    meaningful (class index i is V_i).
+    meaningful (class index i is V_i).  The check builds each class's
+    vertex mask once, and the value keeps them for `class_masks`; they
+    follow from the classes, so equality, hash and repr leave them out.
     """
 
     graph: UGraph
     classes: tuple[frozenset[int], ...]
+    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         order = self.graph.order
         seen = 0
+        masks = []
         for index, cls in enumerate(self.classes):
             for v in cls:
                 if not 0 <= v < order:
@@ -44,15 +48,18 @@ class PartitionedGraph:
             if m & seen:
                 raise ValueError("partition classes overlap")
             seen |= m
+            masks.append(m)
         if seen != (1 << self.graph.order) - 1:
             raise ValueError("partition classes must cover every vertex")
+        object.__setattr__(self, "_masks", tuple(masks))
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
 
     def class_masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(c) for c in self.classes)
+        """The vertex mask of each class, in class order."""
+        return self._masks
 
 
 def spread(mask: int, width: int) -> int:

@@ -2,21 +2,23 @@
 
 Given a partitioned graph, find an independent set meeting at least m
 classes in at least l vertices each.  The solver fixes the m target
-classes first (ascending lexicographic over class subsets), then picks l
-independent vertices per chosen class in ascending order, discarding any
-candidate whose neighbourhood drops some chosen class's remaining
-independent capacity below l.  Status "none" is only reported after the
-whole space is exhausted.
+classes first (ascending lexicographic over the subsets of the classes
+with at least l vertices; a smaller class can never be filled), then
+picks l independent vertices per chosen class in ascending order,
+discarding any candidate whose neighbourhood drops some chosen class's
+remaining independent capacity below l.  At l = 1 that capacity is the
+class's count of vertices left, read without a search.  Status "none" is
+only reported after the whole space is exhausted.
 
 Each class's l-subsets are enumerated as bit masks by a depth-first walk
 that takes the lowest vertex first, which is the order of
 `itertools.combinations`.  A prefix with an edge is abandoned, but its
 completions still count as nodes, so node budgets and node counts are
 those of the plain subset-by-subset loop.  Two memos live for one call:
-the capacity test's answer on the mask it reads, and the node count of
-every class-placement subtree that failed, keyed on what that subtree
-reads (see `find_transversal`); a failed subtree that comes back is
-counted again, not walked again.
+the capacity test's answer on the mask it reads (l >= 2), and the node
+count of every class-placement subtree that failed, keyed on what that
+subtree reads (see `find_transversal`); a failed subtree that comes back
+is counted again, not walked again.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .graphs import (
     has_clique,
     has_independent_set,
     is_independent,
+    mask_of,
 )
 
 
@@ -56,7 +59,8 @@ class TransversalResult:
             return self.witness is None
         if self.witness is None or not is_independent(pg.graph, self.witness):
             return False
-        profile = tuple(len(self.witness & c) for c in pg.classes)
+        picked = mask_of(self.witness)
+        profile = tuple((picked & mask).bit_count() for mask in pg.class_masks())
         return profile == self.profile and sum(1 for h in profile if h >= ell) >= m
 
 
@@ -97,6 +101,15 @@ def find_transversal(
     Any valid witness is returned (no minimality guarantee); the search
     order is deterministic, so reruns reproduce the same witness.
 
+    Lemma (class filter).  A class with fewer than ell vertices holds no
+    ell-set, so a combination that contains it is never filled.  The
+    search combines only the classes with at least ell vertices, computed
+    once per call; combinations of that subsequence come in the same
+    lexicographic order as the combinations of all classes that keep no
+    small class, and a dropped combination would have reached no node.
+    With fewer than m such classes there is no combination, and the
+    answer is "none" after 0 nodes (m > r included).
+
     `nodes` counts the ell-subsets of the chosen classes' available
     vertices that the search reaches, independent or not, in the order
     `itertools.combinations` lists them.  Subsets are built as bit masks,
@@ -113,16 +126,19 @@ def find_transversal(
     independent ell-set outside `forbidden`.  The answer depends only on
     lmask = class_mask & ~forbidden, so it is memoised on lmask for the
     call (classes are disjoint, so a nonzero lmask also names its class).
+    At ell = 1 no search is asked: the prune has already checked
+    lmask.bit_count() >= 1, and one vertex is an independent 1-set, so
+    neither the memo nor has_independent_set is reached.
 
     Lemma (failed subtrees).  Let rest be the union of targets[idx:], the
     classes still to fill.  The outcome and the node count of
     place(idx, picked, forbidden) depend only on targets[idx:] and on
     forbidden & rest: `picked` only enters the returned mask, and `pick`
     and the capacity prune read `forbidden` only inside those classes.
-    The classes are disjoint, non-empty (the quick reject drops a class
-    smaller than ell) and listed in ascending order by every combination,
-    so rest names the remaining classes and their order, across
-    combinations too.  A subtree that fails is therefore
+    The classes are disjoint, non-empty (the class filter keeps only
+    classes with at least ell vertices) and listed in ascending order by
+    every combination, so rest names the remaining classes and their
+    order, across combinations too.  A subtree that fails is therefore
     stored as (rest, forbidden & rest) -> nodes it spent, and a later
     call with the same key adds those nodes and fails without walking.  A
     hit that takes the count past the budget stops there, as the walk
@@ -148,9 +164,8 @@ def _solve(pg: PartitionedGraph, m: int, ell: int, budget: Budget) -> Transversa
     g = pg.graph
     adj = g.adj
     class_masks = pg.class_masks()
-    r = len(class_masks)
-    if m > r:
-        return TransversalResult("none", None, (0,) * r, 0)
+    # a class smaller than ell holds no ell-set: combine only the others
+    eligible = [mask for mask in class_masks if mask.bit_count() >= ell]
 
     limit = budget.limit
     start = nodes = budget.nodes
@@ -217,6 +232,8 @@ def _solve(pg: PartitionedGraph, m: int, ell: int, budget: Budget) -> Transversa
                 lmask = later & ~new_forbidden
                 if lmask.bit_count() < ell:
                     break
+                if ell == 1:  # any vertex is an independent 1-set
+                    continue
                 fits = capacity.get(lmask)
                 if fits is None:
                     fits = capacity[lmask] = has_independent_set(g, ell, within=lmask)
@@ -228,18 +245,14 @@ def _solve(pg: PartitionedGraph, m: int, ell: int, budget: Budget) -> Transversa
                     return found
         return None
 
-    status, witness, profile = "none", None, (0,) * r
+    status, witness, profile = "none", None, (0,) * len(class_masks)
     try:
-        for chosen in combinations(range(r), m):
-            targets = tuple(class_masks[c] for c in chosen)
-            # quick reject: some chosen class too small
-            if any(t.bit_count() < ell for t in targets):
-                continue
+        for targets in combinations(eligible, m):
             tails = [targets[i + 1 :] for i in range(m)]
             picked = place(0, 0, 0)
             if picked is not None:
                 status, witness = "found", frozenset(bits(picked))
-                profile = tuple(len(witness & c) for c in pg.classes)
+                profile = tuple((picked & mask).bit_count() for mask in class_masks)
                 break
     except BudgetExceeded:
         status = "budget"

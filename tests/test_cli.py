@@ -495,7 +495,9 @@ def bad_input_error(tmp_path, argv, text):
 # where a good input file would go, written with text or left missing for
 # None; message, where given, ends the error line
 MALFORMED_INPUTS = {
-    "classes without a classes key": (_CLASSES, '{"foo": 1}', None),
+    "classes without a classes key": (_CLASSES, '{"foo": 1}', "classes file has no 'classes' key"),
+    "classes as an empty object": (_CLASSES, "{}", "classes file has no 'classes' key"),
+    "classes as an array": (_CLASSES, "[1]", "classes file must be a JSON object"),
     "malformed classes JSON": (_CLASSES, '{"classes": [[0', None),
     "classes that miss a vertex": (_CLASSES, '{"classes": [[0, 1, 2], [3, 4]]}', None),
     "classes holding a vertex past the graph": (
@@ -515,7 +517,8 @@ MALFORMED_INPUTS = {
     "pattern edges as a number": (
         _PATTERN, '{"left": 1, "right": 1, "edges": 5}', "edges must be a list of lists"
     ),
-    "pattern without right": (_PATTERN, '{"left": 1, "edges": [[0, 0]]}', None),
+    "pattern without right": (_PATTERN, '{"left": 1, "edges": [[0, 0]]}', "pattern has no 'right' key"),
+    "pattern as an array": (_PATTERN, "[1]", "pattern must be a JSON object"),
     "pattern with float numbers": (
         _PATTERN, '{"left": 1.7, "right": 1, "edges": [[0.9, 0]]}', None
     ),

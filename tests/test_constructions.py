@@ -26,6 +26,7 @@ from transversal_lab.graphs import (
     has_clique,
         independence_number,
     is_independent,
+    mask_of,
 )
 from transversal_lab.ramsey import circulant_digraph, enumerate_good_classes
 
@@ -377,6 +378,29 @@ class TestRadoWitness:
 
 
 class TestPartitionedGraph:
+    @pytest.mark.parametrize(
+        "pg",
+        [
+            layered_from_digraph(circulant_digraph(5, [1, 2]), 3),
+            half_graph(4),
+            rado_partition_witness(3),
+        ],
+        ids=["layered", "half", "rado"],
+    )
+    def test_class_masks_are_the_classes(self, pg):
+        assert pg.class_masks() == tuple(mask_of(c) for c in pg.classes)
+
+    def test_stored_masks_stay_out_of_eq_hash_and_repr(self):
+        graph = half_graph(2).graph
+        classes = (frozenset({0, 1}), frozenset({2, 3}))
+        a, b = PartitionedGraph(graph, classes), PartitionedGraph(graph, classes)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == (
+            "PartitionedGraph(graph=UGraph(order=4, edges=1), "
+            "classes=(frozenset({0, 1}), frozenset({2, 3})))"
+        )
+        assert a != PartitionedGraph(graph, classes[::-1])
+
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             PartitionedGraph(UGraph.empty(2), (frozenset({0, 1}), frozenset({1})))

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -100,6 +101,48 @@ class TestFindTransversal:
         assert find_transversal(pg, 2, 1).status == "none"
 
 
+class TestVerify:
+    """TransversalResult.verify on a found result and on each way a result
+    can be wrong.  The layered 3-cycle of depth 3 has classes {0, 1, 2},
+    {3, 4, 5} and {6, 7, 8}; its (m, ell) = (2, 2) answer is {1, 2, 3, 4}."""
+
+    pg = layered_from_digraph(circulant_digraph(3, [1]), 3)
+    res = find_transversal(pg, 2, 2)
+
+    def test_found_result_holds(self):
+        assert (self.res.status, self.res.witness, self.res.profile) == (
+            "found", frozenset({1, 2, 3, 4}), (2, 2, 0)
+        )
+        assert self.res.verify(self.pg, 2, 2)
+
+    def test_dependent_witness(self):
+        witness = frozenset({0, 1, 3, 4})  # 0 ~ 4; profile still (2, 2, 0)
+        assert not is_independent(self.pg.graph, witness)
+        assert not replace(self.res, witness=witness).verify(self.pg, 2, 2)
+
+    @pytest.mark.parametrize("profile", [(2, 2, 1), (2, 1, 0), (2, 2)])
+    def test_profile_that_disagrees_with_the_witness(self, profile):
+        assert not replace(self.res, profile=profile).verify(self.pg, 2, 2)
+
+    def test_witness_meeting_too_few_classes(self):
+        short = replace(self.res, witness=frozenset({1, 2}), profile=(2, 0, 0))
+        assert short.verify(self.pg, 1, 2)
+        assert not short.verify(self.pg, 2, 2)
+        assert not short.verify(self.pg, 1, 3)
+
+    @pytest.mark.parametrize("status", ["none", "budget"])
+    def test_no_answer_that_carries_a_witness(self, status):
+        assert replace(self.res, status=status, witness=None, profile=(0, 0, 0)).verify(
+            self.pg, 2, 2
+        )
+        assert not replace(self.res, status=status).verify(self.pg, 2, 2)
+
+    def test_witness_vertex_outside_the_graph(self):
+        outside = replace(self.res, witness=frozenset({1, 2, 3, 9}))
+        with pytest.raises(ValueError, match="vertex 9 outside 0..8"):
+            outside.verify(self.pg, 2, 2)
+
+
 class TestOracleEquivalence:
     def test_200_random_instances(self):
         rng = random.Random(88)
@@ -129,7 +172,7 @@ class TestReferenceEquivalence:
     def test_400_random_instances(self):
         rng = random.Random(61)
         statuses = set()
-        skipped = 0
+        skipped = small = 0
         for _ in range(400):
             pg = random_partitioned(rng)
             m = rng.randint(1, pg.num_classes)
@@ -138,9 +181,23 @@ class TestReferenceEquivalence:
             assert solve(pg, m, ell) == want[:4]
             statuses.add(want[0])
             skipped += want[4] > 0
+            small += any(len(c) < ell for c in pg.classes)
         assert statuses == {"found", "none"}
         # edges inside classes: the counted skip runs on many instances
         assert skipped >= 100
+        # classes smaller than ell: the class filter drops one on many
+        assert small >= 100
+
+    def test_fewer_than_m_classes_with_ell_vertices(self):
+        # only the third class has two vertices, so no pair of classes can
+        # both be met twice and no combination is searched
+        pg = PartitionedGraph(
+            UGraph.empty(5), (frozenset({0}), frozenset({1}), frozenset({2, 3, 4}))
+        )
+        res = find_transversal(pg, 2, 2)
+        assert (res.status, res.witness, res.profile, res.nodes) == ("none", None, (0, 0, 0), 0)
+        assert res == reference_solve(pg, 2, 2, Budget())
+        assert reference_transversal(pg, 2, 2)[:4] == ("none", None, (0, 0, 0), 0)
 
     def test_every_node_budget(self):
         rng = random.Random(17)
