@@ -21,7 +21,7 @@ class MalformedInput(TransversalLabError):
 
 
 class VerificationError(TransversalLabError):
-    """A result failed its re-verification predicate before emission."""
+    """A result failed its check before emission."""
 
 
 class NotACounterexample(VerificationError):

@@ -42,8 +42,9 @@ less the pair's 3-cycles, plus one independent-set count when the pair
 gains or loses adjacency.  The rows are local lists updated in place by
 XOR.  Moves are drawn by rejection on getrandbits, the draws randrange
 and choice make, and counted in a local int that reaches the budget once
-per seed, or where a per-move count would stop or read the clock.  Probe
-output is re-verified by the generic predicates before use, so probe
+per seed, or where a per-move count would stop or read the clock.
+search_dr adopts every candidate, probe or enumerated, through
+check_counterexample, the one builder of a DrCertificate, so probe
 results carry the same trust as enumerated ones.
 """
 
@@ -80,7 +81,10 @@ class DrCertificate:
     """A counterexample digraph for (n, m): no transitive n-set and no
     independent m-set, establishing dr(n, m) >= digraph.order + 1.
 
-    Built by check_counterexample; reverify() checks it again.
+    Only check_counterexample builds one in this package, and that check
+    is the one a printed certificate passes.  reverify() runs the same
+    predicates again for callers outside the package, such as a benchmark
+    that re-checks what search_dr returned.
     """
 
     n: int
@@ -551,9 +555,11 @@ def probe_local_search(
     For n = 3, 2-cycles never help: a transitive triple needs all three
     pairs arced, so goodness depends only on the underlying pair states
     {none, forward, backward}, which is the annealing state space.  The
-    energy is the violation count; a zero-energy state is a counterexample
-    and is still re-verified by the caller.  Deterministic for a fixed
-    seed schedule.  ValueError if order, seeds or iters is negative.
+    energy is the violation count; a zero-energy state is a counterexample,
+    returned unchecked: search_dr checks it with check_counterexample, and
+    one that fails there is a verification failure (NotACounterexample).
+    Deterministic for a fixed seed schedule.  ValueError if order, seeds or
+    iters is negative.
 
     A move sets one pair {i, j} to another state and changes only the
     triples through that pair and the independent m-sets holding both
@@ -674,9 +680,7 @@ def probe_local_search(
         if budget is not None and moves > spent:
             budget.spend(moves - spent)
         if energy == 0:
-            digraph = BitDigraph(order, out)
-            if not has_transitive_set(digraph, 3) and not digraph_independent(digraph, m):
-                return digraph
+            return BitDigraph(order, out)
     return None
 
 
@@ -706,9 +710,12 @@ def search_dr(
     certificates; (2) exhaustive isomorph-free enumeration by increasing
     order, which proves exactness when an empty level is reached; (3) bound
     arithmetic to close or report the remaining gap.  One budget bounds
-    all phases; annealer moves and extender nodes count as nodes.  The
-    upper bound is the first empty level's order if one is reached, else
-    hi_bound, and the result is exact when it meets the lower bound.
+    all phases; annealer moves and extender nodes count as nodes.  Each
+    candidate certificate, from a probe or the enumeration, is adopted
+    through check_counterexample, which raises NotACounterexample for one
+    that is not good.  The upper bound is the first empty level's order if
+    one is reached, else hi_bound, and the result is exact when it meets
+    the lower bound.
     Lemma (an empty level is exact): let it be at order e.  Then
     e <= search_cap <= hi_bound and the deepest level has order e - 1.  No
     good digraph has order e or more, so best_cert.order = e - 1 and

@@ -54,9 +54,14 @@ class TransversalResult:
     budget_reason: Optional[str] = None  # "nodes" when the node budget ended the search
 
     def verify(self, pg: PartitionedGraph, m: int, ell: int) -> bool:
-        """Re-check the found/none semantics of this result."""
+        """True iff this result is well formed for (pg, m, ell).  A "found"
+        witness is independent, carries the profile it meets and meets at
+        least m classes in at least ell vertices each.  A "none" or
+        "budget" result carries no witness and the all-zero profile; a
+        "none" rests on the exhausted search, which no check repeats."""
         if self.status != "found":
-            return self.witness is None
+            no_answer = self.status in ("none", "budget") and self.witness is None
+            return no_answer and self.profile == (0,) * pg.num_classes
         if self.witness is None or not is_independent(pg.graph, self.witness):
             return False
         picked = mask_of(self.witness)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from transversal_lab import __version__, embedding, ramsey
+from transversal_lab import __version__, cli, embedding, ortho, ramsey, transversal
 from transversal_lab.cli import main
 from transversal_lab.codec import decode_graph6, encode_digraph6, encode_graph6
 from transversal_lab.constructions import half_graph, tensor
@@ -358,8 +358,11 @@ class TestSolverCommands:
 
 def write_inputs(tmp_path):
     """half_graph(3) as h.g6 + h.json, a one-edge pattern p.json, a vector
-    family fam.json and the directed 3-cycle c3.d6, all in tmp_path."""
+    family fam.json, the directed 3-cycle c3.d6, and one vertex e.g6 with
+    the classes {0} and {} in e.json, all in tmp_path."""
     write_half(tmp_path, 3)
+    (tmp_path / "e.g6").write_text(encode_graph6(UGraph.empty(1)) + "\n")
+    (tmp_path / "e.json").write_text(json.dumps({"classes": [[0], []]}))
     (tmp_path / "p.json").write_text(json.dumps({"left": 1, "right": 1, "edges": [[0, 0]]}))
     (tmp_path / "fam.json").write_text(json.dumps([[1, 0], [0, 1], [1, 1], [1, -1]]))
     (tmp_path / "c3.d6").write_text(encode_digraph6(circulant_digraph(3, [1])) + "\n")
@@ -469,6 +472,7 @@ def test_pinned_report(capsys, tmp_path, monkeypatch, name):
 
 
 _SOLVE = ["transversal", "solve", "--m", "2", "--ell", "1"]
+_HALF = ["--graph", "h.g6", "--classes", "h.json"]
 _CLASSES = [*_SOLVE, "--graph", "h.g6", "--classes", "bad"]
 _PATTERN = ["embed", "balanced", "--graph", "h.g6", "--classes", "h.json", "--pattern", "bad"]
 _FAMILY = ["ortho", "check", "--family", "bad", "--dim", "2", "--m", "2"]
@@ -680,6 +684,7 @@ class TestInternalVerificationFailure:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("verification failure: ")
+        assert len(captured.err.splitlines()) == 1
         return captured.err
 
     def test_probe_candidate_failing_its_check(self, capsys, monkeypatch):
@@ -696,6 +701,97 @@ class TestInternalVerificationFailure:
         argv = ["embed", "balanced", "--graph", "h.g6", "--classes", "h.json", "--pattern", "p.json"]
         err = self.expect_4(capsys, argv)
         assert "embedding failed its own re-verification" in err
+
+    def test_zero_energy_annealer_digraph_failing_its_check(self, capsys, monkeypatch):
+        # the walk above the order-13 circulant then stops at once on its
+        # random start, which has a transitive triple; search_dr's
+        # check_counterexample refuses it instead of the walk moving on to
+        # its next seed
+        monkeypatch.setattr(ramsey, "_annealing_energy", lambda d, m: 0)
+        err = self.expect_4(capsys, ["dr", "compute", "--n", "3", "--m", "4", "--max-order", "15"])
+        assert "digraph contains a transitive witness" in err
+
+    def test_transversal_none_carrying_a_profile(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_inputs(tmp_path)
+        bad = transversal.TransversalResult("none", None, (1, 1))
+        monkeypatch.setattr(cli, "find_transversal", lambda pg, m, ell, node_budget: bad)
+        err = self.expect_4(capsys, [*_SOLVE, *_HALF])
+        assert "transversal result failed re-verification" in err
+
+    def test_half_order_failing_its_check(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_inputs(tmp_path)
+        monkeypatch.setattr(embedding.HalfOrderResult, "verify", lambda self, g, a, b: False)
+        err = self.expect_4(capsys, ["embed", "halforder", *_HALF])
+        assert "half-graph witness failed re-verification" in err
+
+    def test_ortho_family_failing_its_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "alpha_check", lambda family, m: False)
+        err = self.expect_4(capsys, ["ortho", "search", "--dim", "2", "--m", "2"])
+        assert "search result failed its alpha re-check" in err
+
+
+def counted(monkeypatch, owner, name):
+    """Wrap owner.name so that each call records its arguments and then
+    runs the original; returns the list of recorded calls."""
+    original = getattr(owner, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+# each printed answer passes one complete check, once: report -> (argv,
+# (owner, predicate, calls)...).  A predicate listed with 0 calls is one
+# the answer must not pass a second time (a certificate's reverify after
+# check_counterexample built it) or that the search itself must not run.
+# The order-0 half-graph answer has two empty sequences, which the check
+# accepts, so it is checked like any other
+ONE_CHECK = {
+    "dr compute": (
+        ["dr", "compute", "--n", "3", "--m", "3"],
+        ((ramsey, "check_counterexample", 1), (ramsey.DrCertificate, "reverify", 0)),
+    ),
+    "transversal solve": ([*_SOLVE, *_HALF], ((transversal.TransversalResult, "verify", 1),)),
+    "embed halforder": (["embed", "halforder", *_HALF], ((embedding.HalfOrderResult, "verify", 1),)),
+    "embed halforder, order 0": (
+        ["embed", "halforder", "--graph", "e.g6", "--classes", "e.json"],
+        ((embedding.HalfOrderResult, "verify", 1),),
+    ),
+    "embed balanced": (
+        ["embed", "balanced", *_HALF, "--pattern", "p.json"],
+        ((embedding.EmbeddingReport, "verify", 1),),
+    ),
+    "ortho search": (
+        ["ortho", "search", "--dim", "2", "--m", "2", "--pool-height", "1"],
+        ((cli, "alpha_check", 1), (ortho, "alpha_check", 0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CHECK))
+def test_one_check_per_printed_answer(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    argv, checks = ONE_CHECK[name]
+    calls = [counted(monkeypatch, owner, predicate) for owner, predicate, _ in checks]
+    code, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert [len(c) for c in calls] == [expected for _, _, expected in checks]
+
+
+def test_dr_compute_checks_the_certificate_it_prints(capsys, monkeypatch):
+    calls = counted(monkeypatch, ramsey, "check_counterexample")
+    code, rep = run_json(capsys, "dr", "compute", "--n", "3", "--m", "3")
+    assert code == 0
+    ((digraph, n, m),) = calls
+    assert (digraph.order, n, m) == (8, 3, 3)
+    assert encode_digraph6(digraph) == rep["result"]["certificate"]
 
 
 def write_seed_inputs(tmp_path):

@@ -574,6 +574,22 @@ class TestAnnealer:
             assert got is not None and got.order == order
             assert budget.nodes == 1
 
+    def test_found_digraph_is_returned_unchecked(self, monkeypatch):
+        # zero energy is the walk's answer; search_dr's check_counterexample
+        # is the one check it passes, so the walk calls no predicate of its own
+        from transversal_lab import ramsey
+
+        calls = []
+        for name in ("has_transitive_set", "digraph_independent"):
+            original = getattr(ramsey, name)
+            monkeypatch.setattr(
+                ramsey, name, lambda *args, f=original: calls.append(args) or f(*args)
+            )
+        got = probe_local_search(3, 5)
+        assert got is not None and got.order == 5
+        assert calls == []
+        check_counterexample(got, 3, 3)
+
     def test_drift_guard_raises(self, monkeypatch):
         # a full recount that disagrees with the incremental energy must
         # stop the walk with an explicit error, which, unlike an assert,

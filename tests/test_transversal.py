@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 import transversal_lab.transversal as transversal_module
-from transversal_lab.constructions import PartitionedGraph, layered_from_digraph, tensor
+from transversal_lab.constructions import PartitionedGraph, half_graph, layered_from_digraph, tensor
 from transversal_lab.errors import BudgetExceeded
 from transversal_lab.graphs import BitDigraph, Budget, UGraph, has_clique, is_independent
 from transversal_lab.ramsey import circulant_digraph
@@ -136,6 +136,23 @@ class TestVerify:
             self.pg, 2, 2
         )
         assert not replace(self.res, status=status).verify(self.pg, 2, 2)
+
+    @pytest.mark.parametrize("status", ["none", "budget"])
+    @pytest.mark.parametrize("profile", [(2, 2), (0, 1), (0,), (0, 0, 0)])
+    def test_no_answer_carries_the_all_zero_profile(self, status, profile):
+        # half_graph(3) has two classes: only (0, 0) is a profile with no witness
+        pg = half_graph(3)
+        found = find_transversal(pg, 2, 1)
+        assert found.status == "found" and found.verify(pg, 2, 1)
+        assert replace(found, status=status, witness=None, profile=(0, 0)).verify(pg, 2, 1)
+        assert not replace(found, status=status, witness=None, profile=profile).verify(pg, 2, 1)
+
+    @pytest.mark.parametrize("status", ["bogus", "", "Found"])
+    def test_unknown_status(self, status):
+        pg = half_graph(3)
+        found = find_transversal(pg, 2, 1)
+        assert not replace(found, status=status, witness=None, profile=(0, 0)).verify(pg, 2, 1)
+        assert not replace(found, status=status).verify(pg, 2, 1)
 
     def test_witness_vertex_outside_the_graph(self):
         outside = replace(self.res, witness=frozenset({1, 2, 3, 9}))
