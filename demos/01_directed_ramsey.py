@@ -43,7 +43,7 @@ print("=== bound arithmetic without searching ===")
 print(f"dr(3,3) interval from recurrence + Ramsey sandwich: {dr_bounds(3, 3)}")
 print(f"dr(3,4) interval: {dr_bounds(3, 4)}")
 print(f"dr(5,2) interval (power bounds): {dr_bounds(5, 2)}")
-print(f"R(3,3) = 6 confirmed by local brute force: {verify_ramsey_33()}")
+print(f"R(3,3) = 6 confirmed by exhaustive enumeration: {verify_ramsey_33()}")
 
 print()
 print("=== dr(3,4): budgeted search reaches the cited value as a lower bound ===")

@@ -7,22 +7,26 @@ exhausted search at the next order.
 
 The search enumerates counterexample digraphs ("good" digraphs: no
 transitive n-set, no independent m-set) order by order.  Each new vertex
-chooses one of {none, forward, backward, both} against every prior vertex,
-in that order; forward means the arc runs from the existing vertex to the
-new one.  Digraphs are bit rows throughout (out[v], in[v] and
-non-adjacency masks).  The extender, one loop over the prior vertices,
-refuses a state as soon as it closes a transitive n-tuple through the new
-vertex, which one search for an (n-2)-tuple drawn in order from three row
-masks decides for every n (_good_extensions), and a state none as soon as
-it completes an independent m-set.  Isomorph
-rejection by canonical deletion keeps one representative per isomorphism
-class at every order: a child is kept only when its new vertex lies in
-its canonical orbit (greatest degrees, then neighbour key sums, then
-least rooted label), which degree counts decide for most children
-without a label, and once per class among the children of one parent,
-so each unlabelled digraph is visited exactly once.  Goodness is
-hereditary under vertex deletion, which is what makes the level-by-level
-exhaustion sound: an empty level proves no larger counterexample exists.
+chooses one of the allowed pair kinds (PairKind: none, one arc, 2-cycle)
+against every prior vertex, offered as the states none, forward,
+backward, both, in that order; forward means the arc runs from the
+existing vertex to the new one.  All kinds give every digraph; none and
+2-cycle alone give the undirected graphs, on which the same search
+finds classical Ramsey numbers (verify_ramsey_33).  Digraphs are bit
+rows throughout (out[v], in[v] and non-adjacency masks).  The extender,
+one loop over the prior vertices, refuses a state as soon as it closes a
+transitive n-tuple through the new vertex, which one search for an
+(n-2)-tuple drawn in order from three row masks decides for every n
+(_good_extensions), and a state none as soon as it completes an
+independent m-set.  Isomorph rejection by canonical deletion keeps one
+representative per isomorphism class at every order: a child is kept
+only when its new vertex lies in its canonical orbit (greatest degrees,
+then neighbour key sums, then least rooted label), which degree counts
+decide for most children without a label, and once per class among the
+children of one parent, so each unlabelled digraph is visited exactly
+once.  Goodness and the kinds of the pairs are hereditary under vertex
+deletion, which is what makes the level-by-level exhaustion sound: an
+empty level proves no larger counterexample exists.
 
 Two construction probes run before the general search.  Translation is
 an automorphism of a circulant digraph on Z_q, so it has a transitive
@@ -53,6 +57,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from enum import Flag
 from itertools import product
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -151,31 +156,17 @@ def check_counterexample(d: BitDigraph, n: int, m: int) -> DrCertificate:
 _CLASSICAL_R = {(3, 3): 6, (3, 4): 9, (4, 3): 9}
 
 
-def two_colour_ramsey_holds(s: int, t: int, r: int) -> bool:
-    """Brute force: does every red/blue colouring of K_r contain a red K_s
-    or a blue K_t?  Only feasible for tiny r (used to verify R(3,3)=6).
-
-    Bit k of a colouring is the colour of the k-th pair i < j, 1 for
-    blue.  The clique kernel looks for a red K_s in the colouring's red
-    rows and, with flip=-1, for a blue K_t in their complement.
-    """
-    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    full = (1 << r) - 1
-    for colouring in range(1 << len(pairs)):
-        red = [0] * r
-        for k, (i, j) in enumerate(pairs):
-            if not colouring >> k & 1:
-                red[i] |= 1 << j
-                red[j] |= 1 << i
-        if find_clique_in(red, full, s) is None and find_clique_in(red, full, t, -1) is None:
-            return False
-    return True
-
-
 def verify_ramsey_33() -> bool:
-    """Locally confirm R(3,3) = 6: K_5 admits a colouring with no mono
-    triangle while every colouring of K_6 has one."""
-    return (not two_colour_ramsey_holds(3, 3, 5)) and two_colour_ramsey_holds(3, 3, 6)
+    """Confirm R(3,3) = 6 by exhaustive enumeration.
+
+    A graph read as a symmetric digraph, every pair none or a 2-cycle, has
+    an n-clique iff it has a transitive n-tuple (any order of a clique is
+    transitive, and a transitive tuple has every pair arced) and the same
+    independent sets.  So the (3,3)-good classes of kinds none | 2-cycle
+    are the graphs with no triangle in either colour, and R(3,3) is the
+    order of their first empty level."""
+    kinds = PairKind.NONE | PairKind.CYCLE
+    return enumerate_good_classes(3, 3, 7, kinds=kinds).exhausted_empty_order == 6
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +185,9 @@ def dr_bounds(
     dr(n,m) <= 2 dr(n-1,m) + dr(n,m-1) - 1, the lower sandwich
     R(n,m) <= dr(n,m) from _CLASSICAL_R, the m = 2 power bounds
     2^((n-1)/2) <= dr(n,2) <= 2^(n-1), monotonicity in both arguments,
-    and any exact values supplied in `known`.
+    and any exact values supplied in `known`.  Each _CLASSICAL_R entry is
+    re-derived by enumeration in tests/test_ramsey.py
+    (TestClassicalRamsey.test_default_entries).
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
@@ -235,13 +228,29 @@ def _extend(parent: BitDigraph, fwd: int, back: int) -> BitDigraph:
     return BitDigraph(parent.order + 1, rows)
 
 
-def _good_extensions(parent: BitDigraph, trans_n: int, indep_m: int) -> list[tuple[int, int]]:
-    """The good one-vertex extensions of a good parent, as (F, B) masks.
+class PairKind(Flag):
+    """The kinds a pair of vertices may have, as a mask: no arc, one arc
+    or a 2-cycle.  An isomorphism can turn an arc from the lower vertex of
+    a pair into one from the higher, so the two directions are one kind,
+    and every mask describes a class closed under isomorphism."""
+
+    NONE = 1
+    ARC = 2
+    CYCLE = 4
+    ALL = NONE | ARC | CYCLE
+
+
+def _good_extensions(
+    parent: BitDigraph, trans_n: int, indep_m: int, kinds: PairKind = PairKind.ALL
+) -> list[tuple[int, int]]:
+    """The good one-vertex extensions of a good parent whose new pairs have
+    kinds in `kinds`, as (F, B) masks.
 
     One loop over the prior vertices i in ascending order offers every
-    partial state none < forward < backward < both against i and keeps the
-    survivors in that order, so the children come in lexicographic order
-    of their state vectors.  F holds the prior vertices with an arc to v,
+    allowed partial state none < forward < backward < both against i and
+    keeps the survivors in that order, so the children come in
+    lexicographic order of their state vectors.  A state of a kind not in
+    `kinds` is never offered.  F holds the prior vertices with an arc to v,
     B those v has an arc to.
     Lemma: the parent is good, so a transitive n-tuple of a child passes
     through v and reads (T1, v, T2), T1 in F and T2 in B; it is closed when
@@ -258,13 +267,14 @@ def _good_extensions(parent: BitDigraph, trans_n: int, indep_m: int) -> list[tup
     out = parent.out
     inn = parent.in_masks()
     na = parent.nonadjacency_masks()
+    none_ok, arc_ok, cycle_ok = (k in kinds for k in (PairKind.NONE, PairKind.ARC, PairKind.CYCLE))
     need = trans_n - 2  # tuple members besides i and v
     states = [(0, 0, 0)]  # (F, B, the prior vertices with state none)
     for i in range(parent.order):
         bit = 1 << i
         grown = []
         for fwd, back, zset in states:
-            if find_clique_in(na, na[i] & zset, indep_m - 2) is None:
+            if none_ok and find_clique_in(na, na[i] & zset, indep_m - 2) is None:
                 grown.append((fwd, back, zset | bit))
             before, into, outof, after = inn[i] & fwd, out[i] & fwd, inn[i] & back, out[i] & back
             to_v = (before | into | after).bit_count() < need or (
@@ -273,11 +283,11 @@ def _good_extensions(parent: BitDigraph, trans_n: int, indep_m: int) -> list[tup
             from_v = (before | outof | after).bit_count() < need or (
                 need > 1 and find_transitive_in(out, (before, outof, after), need) is None
             )
-            if to_v:
+            if arc_ok and to_v:
                 grown.append((fwd | bit, back, zset))
-            if from_v:
+            if arc_ok and from_v:
                 grown.append((fwd, back | bit, zset))
-            if to_v and from_v:
+            if cycle_ok and to_v and from_v:
                 grown.append((fwd | bit, back | bit, zset))
         states = grown
     return [(fwd, back) for fwd, back, _ in states]
@@ -316,15 +326,23 @@ def enumerate_good_classes(
     max_order: int,
     *,
     budget: Optional[Budget] = None,
+    kinds: PairKind = PairKind.ALL,
 ) -> EnumerationOutcome:
     """Isomorph-free enumeration of digraphs avoiding transitive trans_n-sets
-    and independent indep_m-sets, by increasing order.
+    and independent indep_m-sets, whose pairs all have kinds in `kinds`, by
+    increasing order.
 
     Requires trans_n >= 2 and indep_m >= 2; a constraint above max_order
     never binds, so max_order + 1 for both enumerates every digraph.  The
     outcome counts only the nodes spent here from `budget`, which is
     unlimited when None; every child of every representative spends one
     node, whether or not it is labelled.
+    Lemma (restriction): for any set of kinds, the digraphs whose pairs all
+    have those kinds form a class closed under isomorphism (an isomorphism
+    keeps the kind of each pair) and under vertex deletion (the remaining
+    pairs keep theirs), and so does its intersection with the good
+    digraphs.  The two lemmas below use nothing else about the good
+    digraphs, so they hold word for word for the restricted class.
 
     Level k + 1 keeps the children of level k that canonical deletion
     accepts (McKay, "Isomorph-free exhaustive generation", J. Algorithms
@@ -341,15 +359,15 @@ def enumerate_good_classes(
     a vertex w in its canonical orbit.  X - w is good, because goodness is
     hereditary under vertex deletion, so it is isomorphic to a
     representative P of level k.  _good_extensions(P) yields every good
-    extension of P, among them a copy of X with w in the place of the new
-    vertex, and the rule accepts that copy or an isomorphic one.
+    extension of P with kinds in `kinds`, among them a copy of X with w in
+    the place of the new vertex, and the rule accepts that copy or an
+    isomorphic one.
     """
     if max_order < 1:
         return EnumerationOutcome([], None, 0)
     if trans_n < 2 or indep_m < 2:
         raise ValueError("constraints must be >= 2")
-    if budget is None:
-        budget = Budget()
+    budget = Budget() if budget is None else budget
     start_nodes = budget.nodes
     levels: list[list[BitDigraph]] = [[BitDigraph.empty(1)]]
     budget.spend()
@@ -359,7 +377,7 @@ def enumerate_good_classes(
     while order < max_order and not budget.hit:
         next_level: list[BitDigraph] = []
         for parent in levels[-1]:
-            next_level.extend(_canonical_children(parent, trans_n, indep_m, budget))
+            next_level.extend(_canonical_children(parent, trans_n, indep_m, budget, kinds))
             if budget.hit:
                 break
         if budget.hit:
@@ -398,11 +416,12 @@ def _rigid(d: BitDigraph, keys: Sequence[int], inn: Sequence[int]) -> bool:
 
 
 def _canonical_children(
-    parent: BitDigraph, trans_n: int, indep_m: int, budget: Budget
+    parent: BitDigraph, trans_n: int, indep_m: int, budget: Budget, kinds: PairKind
 ) -> Iterator[BitDigraph]:
-    """One child per class among the good children C = parent + v that
-    have v in their canonical orbit; each child of the extender spends
-    one node of `budget`, and the walk stops when it is hit.
+    """One child per class among the good children C = parent + v, with
+    new pairs of kinds in `kinds`, that have v in their canonical orbit;
+    each child of the extender spends one node of `budget`, and the walk
+    stops when it is hit.
 
     The key of a vertex is out-degree << 8 | in-degree.  The canonical
     orbit of a digraph is the set of its vertices that are greatest by key,
@@ -462,7 +481,7 @@ def _canonical_children(
         kept.add(label)
         return child
 
-    for fwd, back in _good_extensions(parent, trans_n, indep_m):
+    for fwd, back in _good_extensions(parent, trans_n, indep_m, kinds):
         child = accept(fwd, back)
         if child is not None:
             yield child

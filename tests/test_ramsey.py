@@ -15,6 +15,8 @@ from transversal_lab.graphs import (
     has_transitive_set,
 )
 from transversal_lab.ramsey import (
+    PairKind,
+    _CLASSICAL_R,
     _OTHER_STATES,
     _circulant_is_good,
     _extend,
@@ -26,7 +28,6 @@ from transversal_lab.ramsey import (
     probe_circulants,
     probe_local_search,
     search_dr,
-    two_colour_ramsey_holds,
     verify_ramsey_33,
 )
 
@@ -323,21 +324,70 @@ class TestDrBounds:
         assert got == PINNED_DR_BOUNDS
 
 
+GRAPHS = PairKind.NONE | PairKind.CYCLE  # undirected graphs as symmetric digraphs
+ORIENTED = PairKind.NONE | PairKind.ARC
+
+
 class TestClassicalRamsey:
     def test_default_entries(self):
-        # R(3,3) = 6 and R(3,4) = 9 are the lower ends they give dr_bounds
-        assert dr_bounds(3, 3)[0] == 6
-        assert dr_bounds(3, 4)[0] == dr_bounds(4, 3)[0] == 9
+        # each cited R(n, m) that dr_bounds reads is the first empty level
+        # of the (n, m)-good graphs
+        for (n, m), value in _CLASSICAL_R.items():
+            out = enumerate_good_classes(n, m, value + 1, kinds=GRAPHS)
+            assert out.exhausted_empty_order == value, (n, m)
 
     def test_local_verification_of_r33(self):
         assert verify_ramsey_33()
 
-    def test_k4_colouring_exists_without_mono_triangle(self):
-        assert not two_colour_ramsey_holds(3, 3, 4)
-
     def test_matches_the_combinations_brute_force(self):
-        for s, t, r in product(range(1, 5), range(1, 5), range(6)):
-            assert two_colour_ramsey_holds(s, t, r) == reference_two_colour_ramsey_holds(s, t, r)
+        # a graph level of order r is non-empty exactly when some colouring
+        # of K_r has no red K_s and no blue K_t
+        for s, t in product((2, 3, 4), repeat=2):
+            levels = enumerate_good_classes(s, t, 5, kinds=GRAPHS).levels
+            for r in range(1, 6):
+                found = r <= len(levels) and bool(levels[r - 1])
+                assert found == (not reference_two_colour_ramsey_holds(s, t, r)), (s, t, r)
+
+    @pytest.mark.parametrize(
+        "n, m, levels, nodes",
+        [(3, 3, (1, 2, 2, 3, 1, 0), 16), (3, 4, (1, 2, 3, 6, 9, 15, 9, 3, 0), 221)],
+    )
+    def test_pinned_levels(self, n, m, levels, nodes):
+        out = enumerate_good_classes(n, m, 10, kinds=GRAPHS)
+        assert (tuple(len(level) for level in out.levels), out.nodes) == (levels, nodes)
+        assert all(list(d.out) == list(d.in_masks()) for level in out.levels for d in level)
+
+    def test_positive_controls(self):
+        # the three (3,4)-graphs on 8 vertices, and the one (3,5)-graph on
+        # 13, the circulant graph on Z_13 with distances 1 and 5
+        assert len(enumerate_good_classes(3, 4, 8, kinds=GRAPHS).levels[7]) == 3
+        out = enumerate_good_classes(3, 5, 14, kinds=GRAPHS)
+        assert out.exhausted_empty_order == 14 and len(out.levels[12]) == 1
+        paley_13 = circulant_digraph(13, [1, 5, 8, 12])
+        assert canonical_label(out.levels[12][0]) == canonical_label(paley_13)
+
+
+class TestOrientedLevels:
+    @pytest.mark.parametrize("n, m, max_order", [(3, 3, 8), (4, 2, 8), (5, 2, 6), (3, 4, 6)])
+    def test_equal_the_full_levels_without_2_cycles(self, n, m, max_order):
+        full = enumerate_good_classes(n, m, max_order)
+        oriented = enumerate_good_classes(n, m, max_order, kinds=ORIENTED)
+        want = [{canonical_label(d) for d in lvl if not has_two_cycle(d)} for lvl in full.levels]
+        assert label_levels(oriented) == want
+
+    @pytest.mark.parametrize(
+        "n, m, levels, nodes",
+        [(3, 3, (1, 2, 5, 13, 25, 31, 7, 1, 0), 441), (4, 2, (1, 1, 2, 3, 3, 1, 1, 0), 35)],
+    )
+    def test_pinned_levels(self, n, m, levels, nodes):
+        out = enumerate_good_classes(n, m, len(levels), kinds=ORIENTED)
+        assert (tuple(len(level) for level in out.levels), out.nodes) == (levels, nodes)
+
+    def test_positive_control(self):
+        # the deepest (3,3) level is Z_8 {2,3}, which has no 2-cycle
+        level_8 = enumerate_good_classes(3, 3, 8, kinds=ORIENTED).levels[7]
+        assert len(level_8) == 1
+        assert canonical_label(level_8[0]) == canonical_label(circulant_digraph(8, [2, 3]))
 
 
 class TestCirculants:
@@ -643,15 +693,22 @@ def has_two_cycle(d):
     return any(d.out[u] >> v & 1 and d.out[v] >> u & 1 for u, v in combinations(range(d.order), 2))
 
 
-def good_children(parent, n, m):
+def good_children(parent, n, m, kinds=PairKind.ALL):
     """The extender's good children of parent as digraphs, in its order."""
-    return [_extend(parent, fwd, back) for fwd, back in _good_extensions(parent, n, m)]
+    return [_extend(parent, fwd, back) for fwd, back in _good_extensions(parent, n, m, kinds)]
+
+
+# the kind of state s, whose bit 0 is the arc i -> k and bit 1 the arc k -> i
+KIND_OF_STATE = (PairKind.NONE, PairKind.ARC, PairKind.ARC, PairKind.CYCLE)
+MASKS = (PairKind.ALL, ORIENTED, GRAPHS, PairKind.ARC | PairKind.CYCLE)
 
 
 class TestExtensionGenerator:
     def test_matches_naive_filter_across_parameters(self):
-        # the children, in order, are the naively good one-vertex extensions
-        # taken in lexicographic order of their state vectors
+        # under each mask, the children, in order, are the naively good
+        # one-vertex extensions taken in lexicographic order of the state
+        # vectors whose pair kinds the mask allows; the last mask, of the
+        # semicomplete digraphs, leaves out none
         from itertools import product as iproduct
 
         for n_t, m_i in ((3, 3), (3, 4), (4, 2), (4, 3), (2, 4), (5, 3)):
@@ -663,17 +720,18 @@ class TestExtensionGenerator:
             parents += good4[:: max(1, len(good4) // 6)][:6] + cyclic4[:: max(1, len(cyclic4) // 6)][:6]
             if n_t != 2:
                 assert any(has_two_cycle(p) and p.order == 4 for p in parents), (n_t, m_i)
-            for parent in parents:
-                got = [c.out for c in good_children(parent, n_t, m_i)]
+            for parent, kinds in iproduct(parents, MASKS):
+                got = [c.out for c in good_children(parent, n_t, m_i, kinds)]
                 want = [
                     child.out
                     for child in (
                         extend_by_states(parent, sv)
                         for sv in iproduct(range(4), repeat=parent.order)
+                        if all(KIND_OF_STATE[s] in kinds for s in sv)
                     )
                     if naive_good(child, n_t, m_i)
                 ]
-                assert got == want, (n_t, m_i, parent.out)
+                assert got == want, (n_t, m_i, kinds, parent.out)
 
     def test_transitive_from_matches_tuple_scan(self):
         # the kernel's answer on ordered masks is the tuple scan's, and a
