@@ -339,6 +339,13 @@ class TestClassicalRamsey:
     def test_local_verification_of_r33(self):
         assert verify_ramsey_33()
 
+    def test_k4_colouring_exists_without_mono_triangle(self):
+        # the (3,3)-good graphs of order 4 are the colourings of K_4 with no
+        # red and no blue triangle
+        levels = enumerate_good_classes(3, 3, 4, kinds=GRAPHS).levels
+        assert len(levels) == 4 and levels[3]
+        assert not reference_two_colour_ramsey_holds(3, 3, 4)
+
     def test_matches_the_combinations_brute_force(self):
         # a graph level of order r is non-empty exactly when some colouring
         # of K_r has no red K_s and no blue K_t
